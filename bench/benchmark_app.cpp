@@ -1,12 +1,12 @@
-// benchmark_app: the production load-generation driver (src/loadgen).
+// benchmark_app: the RPC load driver (src/loadgen).
 //
 // One tool for every speed claim: open-loop (Poisson/uniform arrivals,
 // bounded async in-flight depth, late-send accounting) and closed-loop
 // (N streams + think time) generation, warm-up/measure/cool-down phases,
 // heavy-tailed and diurnal workload shapes, tenant key mixes for the shard
-// ring, a BENCH_*.json report sharing the rpc_loopback schema, an SLO gate
-// and a baseline regression gate. Replaces the measurement half of the old
-// rpc_loopback/rpc_soak split.
+// ring, a BENCH_*.json report, an SLO gate and a baseline regression gate.
+// It both generates the committed baselines (BENCH_rpc_loopback.json,
+// BENCH_rpc_sharded.json) and gates against them. --help lists the flags.
 //
 //   # open loop, 20 rps Poisson offered at depth 8 against the embedded
 //   # single-scheduler deployment; first 20 requests are warm-up
@@ -56,6 +56,46 @@
 namespace {
 
 using namespace cosched;
+
+const char* const kUsage = R"(usage: benchmark_app [--name value ...]
+
+generator
+  --mode open|closed        open loop (default) or closed loop
+  --requests N              total requests, warm-up included (200)
+  --warmup N / --cooldown N excluded from every figure (requests/10, 0)
+  --depth N / --streams N   open-loop in-flight depth / closed-loop streams
+  --think-ms MS             closed-loop think time (0)
+  --rate RPS                open-loop offered rate (20)
+  --arrival poisson|uniform open-loop arrival process
+  --diurnal-period S        diurnal rate modulation (off), --diurnal-amplitude
+  --seed N                  arrival and workload seed (1)
+  --shape uniform|pareto    job sizes; --pareto-shape, --pareto-scale
+  --parallel F              parallel-job fraction (0.2)
+  --tenants N, --tenant-skew S   tenant key mix for the shard ring
+  --virtual-rate R          simulated jobs per virtual second (0.5)
+  --hint latency|throughput concurrency and batching presets
+
+deployment
+  (default)                 embedded single CoschedServer
+  --router --shards N       embedded RouterServer over N local shards (4)
+  --connect HOST:PORT       external deployment
+  --expect-shards N         assert the router's metric fan-in over N shards
+  --machines N, --cores N, --every-k K   embedded fleet shape
+  --alerts 0|1, --alert-rules FILE, --tsdb-interval S, --tsdb-raw N,
+  --tsdb-series N           SLO watchdog of the embedded deployment
+  --drain-timeout S         final drain budget (300)
+  --log-level L, --log-json 0|1, --log-out FILE   structured logging
+
+outputs and gates
+  --bench-out FILE          BENCH report (BENCH_benchmark_app.json; '' = none)
+  --metrics-out FILE        scraped /metrics page
+  --profile-out FILE        collapsed-stack profile
+  --out DIR                 CSV directory (results)
+  --slo FILE                absolute budgets; exit 2 when violated
+  --compare FILE            committed baseline; exit 3 on regression
+  --tolerance F             relative tolerance of --compare (0.25)
+  --fail-on-alert 0|1       exit 4 when the watchdog fired
+)";
 
 /// The deployment under test: an embedded single CoschedServer, an embedded
 /// RouterServer over local shards, or an external address (--connect).
@@ -122,6 +162,10 @@ bool fan_in_holds(const MetricsResponse& metrics, std::int64_t expect_shards,
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  args.exit_on_help(kUsage);
+  // Read before anything starts: a malformed number exits on the spot.
+  const double drain_timeout = args.get_real("drain-timeout", 300.0);
+  const Real tolerance = args.get_real("tolerance", 0.25);
 
   // ---- hint presets (explicit flags override) ---------------------------
   std::string hint = args.get_string("hint", "");
@@ -216,8 +260,8 @@ int main(int argc, char** argv) {
   runner_options.warmup = static_cast<std::uint64_t>(warmup);
   runner_options.cooldown = static_cast<std::uint64_t>(cooldown);
   // Simulated fleet load, decoupled from the RPC request rate: 0.5 jobs
-  // per virtual second is the aggregate rate rpc_loopback has always
-  // offered its 8-machine fleet (~27% utilization at mean work 17.5).
+  // per virtual second keeps the default 8-machine fleet at ~27%
+  // utilization (mean work 17.5).
   runner_options.virtual_rate = args.get_real("virtual-rate", 0.5);
   if (runner_options.concurrency < 1) {
     std::cerr << "benchmark_app: need --depth/--streams >= 1\n";
@@ -386,7 +430,7 @@ int main(int argc, char** argv) {
     // Drain blocks until the whole backlog has run; give it minutes, not
     // the per-request seconds, and never retry it (a second drain arriving
     // while the first is mid-flight just queues more work).
-    client_options.request_timeout_seconds = args.get_real("drain-timeout", 300.0);
+    client_options.request_timeout_seconds = drain_timeout;
     client_options.max_attempts = 1;
     CoschedClient client(client_options);
     DrainResponse drained;
@@ -558,13 +602,9 @@ int main(int argc, char** argv) {
                 << compare_path << "\n";
       return 1;
     }
-    Real tolerance = args.get_real("tolerance", 0.25);
     CompareResult compared = compare_to_baseline(report, baseline, tolerance);
-    std::cout << "baseline " << compare_path
-              << (baseline.source_prefix.empty()
-                      ? ""
-                      : " (" + baseline.source_prefix + ")")
-              << ", tolerance " << TextTable::fmt(tolerance, 2) << ":\n"
+    std::cout << "baseline " << compare_path << ", tolerance "
+              << TextTable::fmt(tolerance, 2) << ":\n"
               << compared.describe();
     if (!compared.pass) {
       std::cerr << "benchmark_app: REGRESSION vs " << compare_path << "\n";

@@ -1,6 +1,8 @@
 #include "harness/experiment.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -24,6 +26,29 @@ ArgParser::ArgParser(int argc, char** argv) {
   }
 }
 
+namespace {
+
+/// Parses all of `text` as a T, or exits 2 naming the flag.
+template <typename T>
+T parse_number_or_exit(const std::string& name, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    std::cerr << "--" << name << " expects a number, got '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
+}
+
+}  // namespace
+
+void ArgParser::exit_on_help(const std::string& usage) const {
+  if (!has("help")) return;
+  std::cout << usage;
+  std::exit(0);
+}
+
 bool ArgParser::has(const std::string& name) const {
   for (const auto& [k, v] : args_)
     if (k == name) return true;
@@ -40,13 +65,14 @@ std::string ArgParser::get_string(const std::string& name,
 std::int64_t ArgParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   for (const auto& [k, v] : args_)
-    if (k == name && !v.empty()) return std::stoll(v);
+    if (k == name && !v.empty())
+      return parse_number_or_exit<std::int64_t>(name, v);
   return fallback;
 }
 
 Real ArgParser::get_real(const std::string& name, Real fallback) const {
   for (const auto& [k, v] : args_)
-    if (k == name && !v.empty()) return std::stod(v);
+    if (k == name && !v.empty()) return parse_number_or_exit<Real>(name, v);
   return fallback;
 }
 

@@ -12,10 +12,15 @@
 namespace cosched {
 
 /// Minimal "--name value" / "--flag" parser. Unknown flags are ignored so
-/// every bench accepts at least --scale and --out-dir.
+/// every bench accepts at least --scale and --out-dir. A numeric flag whose
+/// value does not parse in full ("abc", "12abc") is a usage error: the
+/// getter prints "--<name> expects a number, got '<value>'" and exits 2.
 class ArgParser {
  public:
   ArgParser(int argc, char** argv);
+
+  /// With --help on the command line, prints `usage` and exits 0.
+  void exit_on_help(const std::string& usage) const;
 
   bool has(const std::string& name) const;
   std::string get_string(const std::string& name,

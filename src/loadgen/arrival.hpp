@@ -1,14 +1,14 @@
 // Open-loop arrival schedules.
 //
 // An open-loop generator decides *when* to send independently of how fast
-// the service answers — the opposite of the closed-loop clients in
-// bench/rpc_loopback, whose next request implicitly waits for the previous
-// reply and therefore slows down exactly when the server is struggling
-// (coordinated omission: the overload never shows up in the numbers, the
-// central lesson of Berg et al., "Towards Optimality in Parallel
-// Scheduling"). The schedule is materialised up front as absolute send
-// offsets (seconds from test start), a pure function of the spec: the same
-// seed yields the same send times on any platform.
+// the service answers — the opposite of closed-loop clients, whose next
+// request implicitly waits for the previous reply and therefore slows down
+// exactly when the server is struggling (coordinated omission: the
+// overload never shows up in the numbers, the central lesson of Berg et
+// al., "Towards Optimality in Parallel Scheduling"). The schedule is
+// materialised up front as absolute send offsets (seconds from test
+// start), a pure function of the spec: the same seed yields the same send
+// times on any platform.
 //
 // Rate curves: a constant rate, or a diurnal sinusoid
 //     r(t) = rate_rps * (1 + amplitude * sin(2*pi*t / period))

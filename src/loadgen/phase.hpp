@@ -2,12 +2,11 @@
 //
 // The first requests of any run hit cold caches, fresh connections and an
 // empty scheduler — folding them into the latency report biases every
-// percentile (the warm-up contamination bug the old rpc_loopback had). The
-// controller classifies each request by its global submission index:
-// [0, warmup) is Warmup, [warmup, total - cooldown) is Measure, the rest is
-// Cooldown. Only Measure samples reach the report; warm-up and cool-down
-// requests are still *sent* (they keep the service loaded so the measure
-// window sees steady state), just not measured.
+// percentile. The controller classifies each request by its global
+// submission index: [0, warmup) is Warmup, [warmup, total - cooldown) is
+// Measure, the rest is Cooldown. Only Measure samples reach the report;
+// warm-up and cool-down requests are still *sent* (they keep the service
+// loaded so the measure window sees steady state), just not measured.
 //
 // PhaseStats is the accumulator one worker keeps per phase; merge() folds
 // workers together. It carries the send/finish extremes so the measure
@@ -47,9 +46,8 @@ class PhaseController {
   std::uint64_t cooldown_;
 };
 
-/// Latency bucket edges shared by every loadgen consumer (milliseconds) —
-/// the same edges bench/rpc_loopback has always used, so merged reports
-/// and /metrics stay comparable.
+/// Latency bucket edges shared by every loadgen consumer (milliseconds), so
+/// merged reports and /metrics stay comparable.
 std::vector<Real> loadgen_latency_edges_ms();
 
 /// One worker's accumulator for one phase.

@@ -60,21 +60,13 @@ bool write_text_file(const std::string& path, const std::string& content) {
 
 BaselineStats extract_baseline(const FlatJson& json) {
   BaselineStats stats;
-  // The flat loopback/benchmark_app schema first; then the router schema,
-  // whose interesting config is the sharded one (the single-shard block is
-  // a baseline-of-the-baseline).
-  for (const char* prefix : {"", "sharded."}) {
-    std::string p(prefix);
-    if (!json.has_number(p + "latency_ms.p95")) continue;
-    stats.ok = true;
-    stats.source_prefix = p;
-    stats.throughput_rps =
-        json.number(p + "achieved_rps", json.number(p + "throughput_rps", 0.0));
-    stats.p50_ms = json.number(p + "latency_ms.p50", 0.0);
-    stats.p95_ms = json.number(p + "latency_ms.p95", 0.0);
-    stats.p99_ms = json.number(p + "latency_ms.p99", 0.0);
-    return stats;
-  }
+  if (!json.has_number("latency_ms.p95")) return stats;
+  stats.ok = true;
+  stats.throughput_rps =
+      json.number("achieved_rps", json.number("throughput_rps", 0.0));
+  stats.p50_ms = json.number("latency_ms.p50", 0.0);
+  stats.p95_ms = json.number("latency_ms.p95", 0.0);
+  stats.p99_ms = json.number("latency_ms.p99", 0.0);
   return stats;
 }
 

@@ -1,19 +1,16 @@
 // BENCH_*.json report writing and baseline comparison.
 //
-// The JSON schema is a strict superset of what bench/rpc_loopback has
-// always written — clients, requests_ok/failed, wall_seconds,
-// throughput_rps, latency_ms{mean,p50,p95,p99,max} — so committed history
-// stays diffable. New fields: mode (open/closed), deployment, offered_rps,
-// achieved_rps (== throughput_rps, kept under both names), warm-up /
-// cool-down request counts (excluded from every latency figure) and
-// late-send accounting for the open-loop generator.
+// One flat JSON schema for every committed baseline: mode (open/closed),
+// deployment, clients, requests_ok/failed, warm-up / cool-down request
+// counts (excluded from every latency figure), late-send accounting for the
+// open-loop generator, offered_rps, achieved_rps (== throughput_rps, kept
+// under both names), wall_seconds and latency_ms{mean,p50,p95,p99,max}.
 //
 // compare_to_baseline() is the CI regression gate: achieved throughput may
 // not drop more than `tolerance` below the baseline, and p95/p99 may not
 // rise more than `tolerance` above it (plus a small absolute slack so a
 // sub-millisecond baseline does not fail on scheduler jitter). Baselines
-// load through extract_baseline(), which understands both the flat loopback
-// schema and the nested router schema ("sharded.latency_ms.p95").
+// load through extract_baseline().
 #pragma once
 
 #include <cstdint>
@@ -61,11 +58,9 @@ struct BenchReport {
 bool write_text_file(const std::string& path, const std::string& content);
 
 /// The four figures a regression check needs, pulled out of a parsed
-/// baseline. `source_prefix` records where they were found ("" for the
-/// flat schema, "sharded." for the router schema).
+/// baseline.
 struct BaselineStats {
   bool ok = false;
-  std::string source_prefix;
   Real throughput_rps = 0.0;
   Real p50_ms = 0.0;
   Real p95_ms = 0.0;

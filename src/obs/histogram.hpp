@@ -2,7 +2,7 @@
 // the Prometheus exposition (src/obs/metrics_registry).
 //
 // Relocated from src/online/metrics so every consumer — SchedulerMetrics'
-// deterministic CSVs, the loopback bench's latency percentiles and the
+// deterministic CSVs, the load generator's latency percentiles and the
 // /metrics endpoint — aggregates through one code path. Samples that are
 // NaN or negative are *dropped and counted* (`invalid()`), never folded
 // into sum/max where they would silently skew the means.
@@ -58,8 +58,8 @@ class Histogram {
   /// credited at max(). 0 when empty.
   Real quantile(Real q) const;
 
-  /// Folds `other` (same edges) into this histogram. The loopback bench
-  /// merges per-client histograms into one before reporting percentiles,
+  /// Folds `other` (same edges) into this histogram. The load generator
+  /// merges per-worker histograms into one before reporting percentiles,
   /// and the shard router's metrics fan-in merges per-shard histograms
   /// into the combined /metrics page.
   /// Exemplars survive the merge: per bucket the larger-valued exemplar

@@ -20,10 +20,10 @@
 // The head-based sampler keeps running underneath as "one policy among
 // several": it decides what the Tracer *records*, while the TailSampler
 // decides which completed root spans are *retained* (exported over OTLP,
-// surfaced in /metrics exemplars and the v4 GetMetrics block). A span from
-// a head-sampled-out trace can still be observed here — the root-span
-// end-hooks fire from timers, not from the Tracer — so slow outliers
-// survive even a 1-in-64 head sampler.
+// surfaced in /metrics exemplars and the GetMetrics tail-sampler fields).
+// A span from a head-sampled-out trace can still be observed here — the
+// root-span end-hooks fire from timers, not from the Tracer — so slow
+// outliers survive even a 1-in-64 head sampler.
 //
 // Everything is bounded and deterministic: the pending window, the retained
 // ring and the retained trace-id set all have fixed capacities with

@@ -44,7 +44,7 @@ std::vector<std::uint8_t> encode_request(const RequestEnvelope& request) {
   w.u16(request.version);
   w.u8(static_cast<std::uint8_t>(request.type));
   w.u64(request.request_id);
-  if (request.version >= 3) w.u64(request.trace_id);
+  w.u64(request.trace_id);
   w.bytes_raw(request.body);
   return w.take();
 }
@@ -55,20 +55,32 @@ bool decode_request(const std::vector<std::uint8_t>& bytes,
   request.version = r.u16();
   std::uint8_t raw_type = r.u8();
   request.request_id = r.u64();
-  // trace_id travels only on wires we actually know (<= kProtocolVersion,
-  // not every >= 3): an unknown future version must still decode
-  // structurally so the server can answer VersionMismatch instead of
-  // BadRequest.
-  request.trace_id = request.version >= 3 &&
-                             request.version <= kProtocolVersion
-                         ? r.u64()
-                         : 0;
-  if (!r.ok() || !valid_message_type(raw_type)) return false;
+  if (!r.ok()) return false;
   request.type = static_cast<MessageType>(raw_type);
+  // Past the shared prefix the layout is ours alone: a foreign version
+  // (message types included) stops here, still well-formed, so the server
+  // answers VersionMismatch instead of BadRequest.
+  request.trace_id = 0;
+  request.body.clear();
+  if (request.version != kProtocolVersion) return true;
+  if (!valid_message_type(raw_type)) return false;
+  request.trace_id = r.u64();
+  if (!r.ok()) return false;
   request.body.assign(bytes.begin() + static_cast<std::ptrdiff_t>(
                                           bytes.size() - r.remaining()),
                       bytes.end());
   return true;
+}
+
+ResponseEnvelope version_mismatch_response(const RequestEnvelope& request) {
+  ResponseEnvelope response;
+  response.type = request.type;
+  response.request_id = request.request_id;
+  response.status = RpcStatus::VersionMismatch;
+  response.error = "peer speaks protocol version " +
+                   std::to_string(request.version) + ", server speaks " +
+                   std::to_string(kProtocolVersion);
+  return response;
 }
 
 std::vector<std::uint8_t> encode_response(const ResponseEnvelope& response) {
@@ -76,7 +88,7 @@ std::vector<std::uint8_t> encode_response(const ResponseEnvelope& response) {
   w.u16(response.version);
   w.u8(static_cast<std::uint8_t>(response.type));
   w.u64(response.request_id);
-  if (response.version >= 3) w.u64(response.trace_id);
+  w.u64(response.trace_id);
   w.u8(static_cast<std::uint8_t>(response.status));
   w.str(response.error);
   w.bytes_raw(response.body);
@@ -89,16 +101,20 @@ bool decode_response(const std::vector<std::uint8_t>& bytes,
   response.version = r.u16();
   std::uint8_t raw_type = r.u8();
   response.request_id = r.u64();
-  response.trace_id = response.version >= 3 &&
-                              response.version <= kProtocolVersion
-                          ? r.u64()
-                          : 0;
+  if (!r.ok()) return false;
+  response.type = static_cast<MessageType>(raw_type);
+  response.trace_id = 0;
+  response.status = RpcStatus::VersionMismatch;
+  response.error.clear();
+  response.body.clear();
+  if (response.version != kProtocolVersion) return true;
+  if (!valid_message_type(raw_type)) return false;
+  response.trace_id = r.u64();
   std::uint8_t raw_status = r.u8();
   response.error = r.str();
-  if (!r.ok() || !valid_message_type(raw_type) ||
+  if (!r.ok() ||
       raw_status > static_cast<std::uint8_t>(RpcStatus::ServerError))
     return false;
-  response.type = static_cast<MessageType>(raw_type);
   response.status = static_cast<RpcStatus>(raw_status);
   response.body.assign(bytes.begin() + static_cast<std::ptrdiff_t>(
                                            bytes.size() - r.remaining()),
@@ -219,12 +235,10 @@ bool decode_service_snapshot(WireReader& r, ServiceSnapshot& snapshot) {
   return r.ok();
 }
 
-void encode_submit_response(WireWriter& w, const SubmitJobResponse& response,
-                            std::uint16_t version) {
+void encode_submit_response(WireWriter& w, const SubmitJobResponse& response) {
   w.i64(response.job_id);
   w.real(response.virtual_now);
   encode_job_status_view(w, response.status);
-  if (version < 5) return;  // v1..v4 ack ends here
   w.i32(response.shard_id);
 }
 
@@ -232,11 +246,6 @@ bool decode_submit_response(WireReader& r, SubmitJobResponse& response) {
   response.job_id = r.i64();
   response.virtual_now = r.real();
   if (!decode_job_status_view(r, response.status)) return false;
-  // v5 extension: present iff the peer wrote it. A v1..v4 ack ends here and
-  // shard_id reads as its no-shard default — explicitly reset, so decoding
-  // into a reused response cannot leak a stale shard.
-  response.shard_id = -1;
-  if (r.remaining() == 0) return true;
   response.shard_id = r.i32();
   return r.ok();
 }
@@ -253,8 +262,7 @@ bool decode_status_response(WireReader& r, JobStatusResponse& response) {
   return decode_job_status_view(r, response.status);
 }
 
-void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
-                             std::uint16_t version) {
+void encode_metrics_response(WireWriter& w, const MetricsResponse& response) {
   w.real(response.virtual_now);
   w.u64(response.arrivals);
   w.u64(response.admissions);
@@ -267,7 +275,6 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
   w.u64(response.cache.entries);
   w.u64(response.cache.evictions);
   w.str(response.deterministic_csv);
-  if (version < 2) return;  // v1 body ends here
   w.u64(response.cache.compactions);
   w.u64(response.astar_searches);
   w.u64(response.astar_expansions);
@@ -277,12 +284,10 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
   w.u64(response.rpc_request_count);
   w.real(response.rpc_request_seconds_sum);
   w.real(response.rpc_request_seconds_p99);
-  if (version < 3) return;  // v2 body ends here
   w.u64(response.queue_wait_count);
   w.real(response.queue_wait_seconds_sum);
   w.real(response.queue_wait_seconds_p99);
   w.u64(response.tracer_dropped_events);
-  if (version < 4) return;  // v3 body ends here
   w.u64(response.tail_considered);
   w.u64(response.tail_kept);
   w.u64(response.tail_dropped);
@@ -290,7 +295,6 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
   w.u64(response.tail_retained_spans);
   w.u64(response.latency_exemplar_trace_id);
   w.real(response.latency_exemplar_seconds);
-  if (version < 5) return;  // v4 body ends here
   w.i32(response.shard_id);
   w.u64(response.command_queue_depth);
   w.real(response.replan_p95_seconds);
@@ -309,7 +313,6 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
     w.u64(shard.queue_depth);
     w.real(shard.replan_p95_seconds);
   }
-  if (version < 6) return;  // v5 body ends here
   w.u32(static_cast<std::uint32_t>(response.shard_health.size()));
   for (const ShardHealthEntry& health : response.shard_health) {
     w.i32(health.shard_id);
@@ -333,38 +336,6 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.cache.entries = r.u64();
   response.cache.evictions = r.u64();
   response.deterministic_csv = r.str();
-  if (!r.ok()) return false;
-  // v2 extensions: present iff the peer wrote them. A v1 body simply ends
-  // here and every extension field reads as its zero default — explicitly
-  // reset, so decoding into a reused response cannot leak stale values.
-  response.cache.compactions = 0;
-  response.astar_searches = 0;
-  response.astar_expansions = 0;
-  response.astar_heuristic_evals = 0;
-  response.rpc_requests_ok = 0;
-  response.rpc_requests_failed = 0;
-  response.rpc_request_count = 0;
-  response.rpc_request_seconds_sum = 0.0;
-  response.rpc_request_seconds_p99 = 0.0;
-  response.queue_wait_count = 0;
-  response.queue_wait_seconds_sum = 0.0;
-  response.queue_wait_seconds_p99 = 0.0;
-  response.tracer_dropped_events = 0;
-  response.tail_considered = 0;
-  response.tail_kept = 0;
-  response.tail_dropped = 0;
-  response.tail_pending = 0;
-  response.tail_retained_spans = 0;
-  response.latency_exemplar_trace_id = 0;
-  response.latency_exemplar_seconds = 0.0;
-  response.shard_id = -1;
-  response.command_queue_depth = 0;
-  response.replan_p95_seconds = 0.0;
-  response.router_spillovers = 0;
-  response.router_remapped_keys = 0;
-  response.shards.clear();
-  response.shard_health.clear();
-  if (r.remaining() == 0) return true;
   response.cache.compactions = r.u64();
   response.astar_searches = r.u64();
   response.astar_expansions = r.u64();
@@ -374,16 +345,10 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.rpc_request_count = r.u64();
   response.rpc_request_seconds_sum = r.real();
   response.rpc_request_seconds_p99 = r.real();
-  if (!r.ok()) return false;
-  // v3 extensions: a v2 body ends here.
-  if (r.remaining() == 0) return true;
   response.queue_wait_count = r.u64();
   response.queue_wait_seconds_sum = r.real();
   response.queue_wait_seconds_p99 = r.real();
   response.tracer_dropped_events = r.u64();
-  if (!r.ok()) return false;
-  // v4 extensions: a v3 body ends here.
-  if (r.remaining() == 0) return true;
   response.tail_considered = r.u64();
   response.tail_kept = r.u64();
   response.tail_dropped = r.u64();
@@ -391,9 +356,6 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.tail_retained_spans = r.u64();
   response.latency_exemplar_trace_id = r.u64();
   response.latency_exemplar_seconds = r.real();
-  if (!r.ok()) return false;
-  // v5 extensions: a v4 body ends here.
-  if (r.remaining() == 0) return true;
   response.shard_id = r.i32();
   response.command_queue_depth = r.u64();
   response.replan_p95_seconds = r.real();
@@ -401,6 +363,7 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.router_remapped_keys = r.u64();
   std::uint32_t shard_count = r.u32();
   if (!r.ok() || shard_count > r.remaining()) return false;
+  response.shards.clear();
   response.shards.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     ShardMetricsEntry shard;
@@ -416,11 +379,9 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
     shard.replan_p95_seconds = r.real();
     response.shards.push_back(shard);
   }
-  if (!r.ok()) return false;
-  // v6 extensions: a v5 body ends here.
-  if (r.remaining() == 0) return true;
   std::uint32_t health_count = r.u32();
   if (!r.ok() || health_count > r.remaining()) return false;
+  response.shard_health.clear();
   response.shard_health.reserve(health_count);
   for (std::uint32_t i = 0; i < health_count; ++i) {
     ShardHealthEntry health;
@@ -461,7 +422,7 @@ bool decode_drain_response(WireReader& r, DrainResponse& response) {
   return r.ok();
 }
 
-// ---- streaming telemetry (v3) --------------------------------------------
+// ---- streaming telemetry -------------------------------------------------
 
 void encode_telemetry_subscribe_request(
     WireWriter& w, const TelemetrySubscribeRequest& request) {
@@ -493,8 +454,7 @@ bool decode_telemetry_subscribe_ack(WireReader& r,
   return r.ok();
 }
 
-void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame,
-                            std::uint16_t version) {
+void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame) {
   w.u64(frame.frame_seq);
   w.boolean(frame.last);
   w.u64(frame.dropped_spans);
@@ -516,9 +476,7 @@ void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame,
     w.real(s.value);
     w.str(s.args);
   }
-  // v4 frame extension; appended last so a v3 subscriber's decoder stops
-  // cleanly at the end of the span list.
-  if (version >= 4) w.str(frame.sampling_mode);
+  w.str(frame.sampling_mode);
 }
 
 bool decode_telemetry_frame(WireReader& r, TelemetryFrame& frame) {
@@ -556,14 +514,11 @@ bool decode_telemetry_frame(WireReader& r, TelemetryFrame& frame) {
       return false;
     frame.spans.push_back(std::move(s));
   }
-  // v4 extension: present iff the sender wrote it (a v3 frame ends here).
-  frame.sampling_mode.clear();
-  if (r.remaining() == 0) return r.ok();
   frame.sampling_mode = r.str();
   return r.ok();
 }
 
-// ---- decision-journal timeline (v7) --------------------------------------
+// ---- decision-journal timeline --------------------------------------------
 
 void encode_journal_event(WireWriter& w, const JournalEvent& event) {
   w.i64(event.job_id);
@@ -664,7 +619,7 @@ bool decode_alerts_response(WireReader& r, AlertsResponse& response) {
     entry.since_seconds = r.real();
     entry.detail = r.str();
     // The state machine has 4 states and 3 severities; anything else is a
-    // corrupted body, not a future extension (those append fields).
+    // corrupted body.
     if (!r.ok() || entry.state > 3 || entry.severity > 2) return false;
     response.alerts.push_back(std::move(entry));
   }

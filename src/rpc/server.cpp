@@ -390,13 +390,15 @@ void CoschedServer::serve_connection(Socket socket) {
       response.error = "malformed request envelope";
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.malformed_frames;
+    } else if (request.version != kProtocolVersion) {
+      response = version_mismatch_response(request);
     } else if (request.type == MessageType::SubscribeTelemetry) {
       // The connection becomes a server-push stream; serve_telemetry owns
       // it (including the ack and all stats) until the subscriber leaves.
       serve_telemetry(socket, request);
       return;
     } else {
-      // Correlation: adopt the client's trace_id (v3+) or mint one, latch
+      // Correlation: adopt the client's trace_id or mint one, latch
       // the head-based sampling decision, and keep the context installed
       // for the whole dispatch — the scheduler command queue re-installs
       // it on the scheduler thread, so replan and solver spans inherit it.
@@ -413,15 +415,14 @@ void CoschedServer::serve_connection(Socket socket) {
                          std::move(span_args));
       COSCHED_PROFILE_PHASE(request_phase, "rpc.request");
       response = handle_request(request);
-      response.trace_id = trace_id;  // echoed on v3+ wires only
+      response.trace_id = trace_id;
     }
 
-    std::vector<std::uint8_t> bytes = encode_response(response);
-    FrameStatus write_status = write_frame(
-        socket, bytes, Deadline::after(options_.request_deadline_seconds +
-                                       options_.idle_poll_seconds));
-    // The trace context is gone by now (trace_scope closed with its
-    // branch), so the exemplar trace id is passed explicitly.
+    // Read-your-reply: the request is on the books (latency histogram,
+    // ok/failed counters) before its reply goes out, so a client that
+    // holds the reply always finds it in /metrics. The trace context is
+    // gone by now (trace_scope closed with its branch), so the exemplar
+    // trace id is passed explicitly.
     if (request_latency_)
       request_latency_->observe(request_timer.seconds(), trace_id);
     if (TailSampler::global().active()) {
@@ -443,6 +444,10 @@ void CoschedServer::serve_connection(Socket socket) {
       else
         ++stats_.requests_failed;
     }
+    FrameStatus write_status = write_frame(
+        socket, encode_response(response),
+        Deadline::after(options_.request_deadline_seconds +
+                        options_.idle_poll_seconds));
     if (write_status != FrameStatus::Ok) return;  // peer went away mid-reply
     if (response.status == RpcStatus::Ok &&
         response.type == MessageType::Shutdown) {
@@ -467,21 +472,19 @@ void CoschedServer::serve_telemetry(Socket& socket,
   ResponseEnvelope ack;
   ack.type = request.type;
   ack.request_id = request.request_id;
-  ack.version = request.version;
 
+  // Counted before the ack goes out, like every unary reply.
   auto fail = [&](RpcStatus status, const char* error) {
     ack.status = status;
     ack.error = error;
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ++stats_.requests_failed;
+    }
     write_frame(socket, encode_response(ack),
                 Deadline::after(options_.idle_poll_seconds));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests_failed;
   };
 
-  if (request.version < 3) {
-    fail(RpcStatus::BadRequest, "SubscribeTelemetry requires protocol v3");
-    return;
-  }
   TelemetrySubscribeRequest sub;
   WireReader reader(request.body);
   if (!decode_telemetry_subscribe_request(reader, sub) ||
@@ -507,14 +510,14 @@ void CoschedServer::serve_telemetry(Socket& socket,
   ack.trace_id = trace_id;
   ack.status = RpcStatus::Ok;
   ack.body = ack_writer.take();
-  if (write_frame(socket, encode_response(ack),
-                  Deadline::after(options_.request_deadline_seconds)) !=
-      FrameStatus::Ok)
-    return;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.requests_ok;
   }
+  if (write_frame(socket, encode_response(ack),
+                  Deadline::after(options_.request_deadline_seconds)) !=
+      FrameStatus::Ok)
+    return;
 
   telemetry_subscribers_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t cursor = Tracer::global().current_seq();
@@ -525,9 +528,9 @@ void CoschedServer::serve_telemetry(Socket& socket,
     TelemetryFrame frame;
     frame.frame_seq = frame_seq++;
     frame.last = last;
-    // v4 subscribers learn which sampling configuration produced the span
+    // Subscribers learn which sampling configuration produced the span
     // stream (the label travels per frame: knobs can change mid-stream).
-    if (request.version >= 4) frame.sampling_mode = sampling_mode_label();
+    frame.sampling_mode = sampling_mode_label();
     std::vector<PrometheusSample> samples;
     if (parse_prometheus_text(MetricsRegistry::global().render_prometheus(),
                               samples)) {
@@ -560,13 +563,12 @@ void CoschedServer::serve_telemetry(Socket& socket,
       frame.spans.push_back(std::move(s));
     }
     ResponseEnvelope push;
-    push.version = request.version;
     push.type = request.type;
     push.request_id = request.request_id;
     push.trace_id = trace_id;
     push.status = RpcStatus::Ok;
     WireWriter body;
-    encode_telemetry_frame(body, frame, request.version);
+    encode_telemetry_frame(body, frame);
     push.body = body.take();
     // A subscriber that cannot drain a frame within one interval (plus the
     // poll slack) is dropped — per-subscriber buffering stays bounded at
@@ -630,16 +632,6 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
   ResponseEnvelope response;
   response.type = request.type;
   response.request_id = request.request_id;
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
-    response.status = RpcStatus::VersionMismatch;
-    response.error = "server speaks protocol versions " +
-                     std::to_string(kMinProtocolVersion) + ".." +
-                     std::to_string(kProtocolVersion);
-    return response;
-  }
-  // Answer in the requester's version: a v1 peer gets v1 bodies.
-  response.version = request.version;
 
   // Per-request server-side budget. The same budget bounds the wait on the
   // scheduler thread; an expired deadline is reported, not worked through.
@@ -687,7 +679,7 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       reply.virtual_now = outcome.virtual_now;
       reply.status = outcome.status;
       reply.shard_id = options_.shard_id;
-      encode_submit_response(body, reply, request.version);
+      encode_submit_response(body, reply);
       break;
     }
     case MessageType::QueryJobStatus: {
@@ -716,11 +708,6 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       break;
     }
     case MessageType::QueryJobTimeline: {
-      if (request.version < 7) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "QueryJobTimeline requires protocol v7";
-        return response;
-      }
       std::int64_t job_id = reader.i64();
       if (!reader.complete()) {
         response.status = RpcStatus::BadRequest;
@@ -748,11 +735,6 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       break;
     }
     case MessageType::GetAlerts: {
-      if (request.version < 8) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "GetAlerts requires protocol v8";
-        return response;
-      }
       if (!reader.complete()) {
         response.status = RpcStatus::BadRequest;
         response.error = "unexpected GetAlerts body";
@@ -815,68 +797,55 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       reply.running_mean_degradation = outcome.running_mean_degradation;
       reply.cache = outcome.cache;
       reply.deterministic_csv = outcome.deterministic_csv;
-      if (request.version >= 2) {
-        MetricsRegistry& reg = MetricsRegistry::global();
-        reply.astar_searches =
-            reg.counter("cosched_astar_searches_total", "graph searches run")
-                .value();
-        reply.astar_expansions =
-            reg.counter("cosched_astar_expansions_total",
-                        "subpaths expanded")
-                .value();
-        reply.astar_heuristic_evals =
-            reg.counter("cosched_astar_heuristic_evals_total",
-                        "h(v) evaluations")
-                .value();
-        ServerStats snapshot = stats();
-        reply.rpc_requests_ok = snapshot.requests_ok;
-        reply.rpc_requests_failed = snapshot.requests_failed;
-        if (request_latency_) {
-          Histogram latency = request_latency_->snapshot();
-          reply.rpc_request_count = latency.count();
-          reply.rpc_request_seconds_sum = latency.sum();
-          reply.rpc_request_seconds_p99 = latency.quantile(0.99);
+      MetricsRegistry& reg = MetricsRegistry::global();
+      reply.astar_searches =
+          reg.counter("cosched_astar_searches_total", "graph searches run")
+              .value();
+      reply.astar_expansions =
+          reg.counter("cosched_astar_expansions_total", "subpaths expanded")
+              .value();
+      reply.astar_heuristic_evals =
+          reg.counter("cosched_astar_heuristic_evals_total", "h(v) evaluations")
+              .value();
+      ServerStats snapshot = stats();
+      reply.rpc_requests_ok = snapshot.requests_ok;
+      reply.rpc_requests_failed = snapshot.requests_failed;
+      if (request_latency_) {
+        Histogram latency = request_latency_->snapshot();
+        reply.rpc_request_count = latency.count();
+        reply.rpc_request_seconds_sum = latency.sum();
+        reply.rpc_request_seconds_p99 = latency.quantile(0.99);
+        const Exemplar* newest = nullptr;
+        for (const Exemplar& exemplar : latency.exemplars())
+          if (exemplar.valid && (!newest || exemplar.seq > newest->seq))
+            newest = &exemplar;
+        if (newest) {
+          reply.latency_exemplar_trace_id = newest->trace_id;
+          reply.latency_exemplar_seconds = newest->value;
         }
       }
-      if (request.version >= 3) {
-        if (queue_wait_metric_) {
-          Histogram queue_wait = queue_wait_metric_->snapshot();
-          reply.queue_wait_count = queue_wait.count();
-          reply.queue_wait_seconds_sum = queue_wait.sum();
-          reply.queue_wait_seconds_p99 = queue_wait.quantile(0.99);
-        }
-        reply.tracer_dropped_events = Tracer::global().dropped_events();
+      if (queue_wait_metric_) {
+        Histogram queue_wait = queue_wait_metric_->snapshot();
+        reply.queue_wait_count = queue_wait.count();
+        reply.queue_wait_seconds_sum = queue_wait.sum();
+        reply.queue_wait_seconds_p99 = queue_wait.quantile(0.99);
       }
-      if (request.version >= 4) {
-        TailSampler& tail = TailSampler::global();
-        TailSamplerStats tail_stats = tail.stats();
-        reply.tail_considered = tail_stats.considered;
-        reply.tail_kept = tail_stats.kept();
-        reply.tail_dropped = tail_stats.dropped;
-        reply.tail_pending = tail.pending();
-        reply.tail_retained_spans = tail.retained();
-        if (request_latency_) {
-          Histogram latency = request_latency_->snapshot();
-          const Exemplar* newest = nullptr;
-          for (const Exemplar& exemplar : latency.exemplars())
-            if (exemplar.valid && (!newest || exemplar.seq > newest->seq))
-              newest = &exemplar;
-          if (newest) {
-            reply.latency_exemplar_trace_id = newest->trace_id;
-            reply.latency_exemplar_seconds = newest->value;
-          }
-        }
-      }
-      if (request.version >= 5) {
-        // Shard/fan-in block of a single instance: its identity and its
-        // spillover signals. A standalone server fronts no shards, so the
-        // per-shard list stays empty and the router accounting zero.
-        reply.shard_id = options_.shard_id;
-        LoadProbe probe = service_->load();
-        reply.command_queue_depth = probe.queue_depth;
-        reply.replan_p95_seconds = probe.replan_p95_seconds;
-      }
-      encode_metrics_response(body, reply, request.version);
+      reply.tracer_dropped_events = Tracer::global().dropped_events();
+      TailSampler& tail = TailSampler::global();
+      TailSamplerStats tail_stats = tail.stats();
+      reply.tail_considered = tail_stats.considered;
+      reply.tail_kept = tail_stats.kept();
+      reply.tail_dropped = tail_stats.dropped;
+      reply.tail_pending = tail.pending();
+      reply.tail_retained_spans = tail.retained();
+      // Shard/fan-in block of a single instance: its identity and its
+      // spillover signals. A standalone server fronts no shards, so the
+      // per-shard list stays empty and the router accounting zero.
+      reply.shard_id = options_.shard_id;
+      LoadProbe probe = service_->load();
+      reply.command_queue_depth = probe.queue_depth;
+      reply.replan_p95_seconds = probe.replan_p95_seconds;
+      encode_metrics_response(body, reply);
       break;
     }
     case MessageType::TraceDump: {

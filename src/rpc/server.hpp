@@ -60,7 +60,7 @@ struct ServerOptions {
   /// (Prometheus text format) and GET /healthz over HTTP/1.0.
   bool enable_http = true;
   std::uint16_t http_port = 0;  ///< 0 = ephemeral; read back with http_port()
-  /// Shard identity advertised on v5 wires (SubmitJob acks and the
+  /// Shard identity advertised on the wire (SubmitJob acks and the
   /// GetMetrics shard block). -1 = standalone server; a shard router's
   /// RPC-addressable backend is a plain CoschedServer started with its
   /// shard id set.
@@ -129,8 +129,8 @@ class CoschedServer {
   void serve_connection(Socket socket);
   /// Decodes, dispatches and encodes one request.
   ResponseEnvelope handle_request(const RequestEnvelope& request);
-  /// Turns the connection into a server-push telemetry stream (v3
-  /// SubscribeTelemetry); returns when the subscriber leaves, max_frames is
+  /// Turns the connection into a server-push telemetry stream
+  /// (SubscribeTelemetry); returns when the subscriber leaves, max_frames is
   /// reached or the server stops.
   void serve_telemetry(Socket& socket, const RequestEnvelope& request);
   /// Deterministic nonzero trace id for requests that did not bring one.

@@ -343,6 +343,8 @@ void RouterServer::serve_connection(Socket socket) {
       response.error = "malformed request envelope";
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.malformed_frames;
+    } else if (request.version != kProtocolVersion) {
+      response = version_mismatch_response(request);
     } else {
       std::uint64_t trace_id =
           request.trace_id != 0 ? request.trace_id : next_server_trace_id();
@@ -355,10 +357,8 @@ void RouterServer::serve_connection(Socket socket) {
       response.trace_id = trace_id;
     }
 
-    std::vector<std::uint8_t> bytes = encode_response(response);
-    FrameStatus write_status = write_frame(
-        socket, bytes, Deadline::after(options_.request_deadline_seconds +
-                                       options_.idle_poll_seconds));
+    // Read-your-reply: counted before the reply goes out, so a client
+    // holding its reply always finds the request in stats().
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       if (response.status == RpcStatus::Ok)
@@ -366,6 +366,10 @@ void RouterServer::serve_connection(Socket socket) {
       else
         ++stats_.requests_failed;
     }
+    FrameStatus write_status = write_frame(
+        socket, encode_response(response),
+        Deadline::after(options_.request_deadline_seconds +
+                        options_.idle_poll_seconds));
     if (write_status != FrameStatus::Ok) return;
     if (response.status == RpcStatus::Ok &&
         response.type == MessageType::Shutdown) {
@@ -381,15 +385,6 @@ ResponseEnvelope RouterServer::handle_request(const RequestEnvelope& request,
   ResponseEnvelope response;
   response.type = request.type;
   response.request_id = request.request_id;
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
-    response.status = RpcStatus::VersionMismatch;
-    response.error = "server speaks protocol versions " +
-                     std::to_string(kMinProtocolVersion) + ".." +
-                     std::to_string(kProtocolVersion);
-    return response;
-  }
-  response.version = request.version;
 
   WireWriter body;
   WireReader reader(request.body);
@@ -408,7 +403,7 @@ ResponseEnvelope RouterServer::handle_request(const RequestEnvelope& request,
       SubmitJobResponse reply;
       RpcStatus status = router_.submit(job, reply, error, trace_id);
       if (status != RpcStatus::Ok) return fail(status, error);
-      encode_submit_response(body, reply, request.version);
+      encode_submit_response(body, reply);
       break;
     }
     case MessageType::QueryJobStatus: {
@@ -426,9 +421,6 @@ ResponseEnvelope RouterServer::handle_request(const RequestEnvelope& request,
       break;
     }
     case MessageType::QueryJobTimeline: {
-      if (request.version < 7)
-        return fail(RpcStatus::BadRequest,
-                    "QueryJobTimeline requires protocol v7");
       std::int64_t job_id = reader.i64();
       if (!reader.complete())
         return fail(RpcStatus::BadRequest, "malformed QueryJobTimeline body");
@@ -458,7 +450,7 @@ ResponseEnvelope RouterServer::handle_request(const RequestEnvelope& request,
       MetricsResponse reply;
       RpcStatus status = router_.metrics(reply, error);
       if (status != RpcStatus::Ok) return fail(status, error);
-      encode_metrics_response(body, reply, request.version);
+      encode_metrics_response(body, reply);
       break;
     }
     case MessageType::TraceDump: {
@@ -515,8 +507,6 @@ ResponseEnvelope RouterServer::handle_request(const RequestEnvelope& request,
       break;
     }
     case MessageType::GetAlerts: {
-      if (request.version < 8)
-        return fail(RpcStatus::BadRequest, "GetAlerts requires protocol v8");
       if (!reader.complete())
         return fail(RpcStatus::BadRequest, "unexpected GetAlerts body");
       encode_alerts_response(body, collect_alerts());

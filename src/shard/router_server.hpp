@@ -1,13 +1,12 @@
 // RouterServer — TCP front door of a sharded deployment.
 //
-// Same wire contract as CoschedServer (CSC1 frames, versioned envelopes,
-// v1..v6 accepted, answered in the requester's version) so every existing
-// client — CoschedClient, the loopback bench, the examples — talks to a
-// sharded fleet unchanged. The difference is behind the dispatcher: requests
-// go to a ShardRouter instead of one LiveSchedulerService, job ids are
-// global (shard-encoded), SubmitJob acks carry the routed shard on v5
-// wires, and GetMetrics answers the fan-in block (with the v6 per-shard
-// health entries).
+// Same wire contract as CoschedServer (CSC1 frames, one protocol version,
+// VersionMismatch for any other) so every client — CoschedClient,
+// benchmark_app, the examples — talks to a sharded fleet unchanged. The
+// difference is behind the dispatcher: requests go to a ShardRouter instead
+// of one LiveSchedulerService, job ids are global (shard-encoded), SubmitJob
+// acks carry the routed shard, and GetMetrics answers the fan-in block (with
+// the per-shard health entries).
 //
 // Deliberately simpler than CoschedServer: no telemetry streaming
 // (SubscribeTelemetry answers BadRequest — subscribe to the shards' own

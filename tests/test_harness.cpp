@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -34,6 +35,39 @@ TEST(ArgParser, FlagFollowedByFlagHasEmptyValue) {
   EXPECT_TRUE(args.has("a"));
   EXPECT_EQ(args.get_string("a", "none"), "");
   EXPECT_EQ(args.get_string("b", "none"), "x");
+}
+
+// A numeric flag must parse in full: no uncaught exception, no silent
+// prefix parse ("12abc" is not 12).
+TEST(ArgParser, MalformedNumbersExitWithUsageError) {
+  const char* argv[] = {"prog", "--jobs", "abc", "--seed", "12abc",
+                        "--scale", "2.5x", "--rate", "1e3"};
+  ArgParser args(9, const_cast<char**>(argv));
+  EXPECT_EXIT(args.get_int("jobs", 0), ::testing::ExitedWithCode(2),
+              "--jobs expects a number, got 'abc'");
+  EXPECT_EXIT(args.get_int("seed", 0), ::testing::ExitedWithCode(2),
+              "--seed expects a number, got '12abc'");
+  EXPECT_EXIT(args.get_real("scale", 0.0), ::testing::ExitedWithCode(2),
+              "--scale expects a number, got '2.5x'");
+  EXPECT_DOUBLE_EQ(args.get_real("rate", 0.0), 1000.0);
+  EXPECT_EXIT(args.get_int("rate", 0), ::testing::ExitedWithCode(2),
+              "--rate expects a number, got '1e3'");
+}
+
+TEST(ArgParser, HelpPrintsUsageAndExitsZero) {
+  const char* help_argv[] = {"prog", "--requests", "5", "--help"};
+  ArgParser help(4, const_cast<char**>(help_argv));
+  EXPECT_EXIT(
+      {
+        help.exit_on_help("usage: prog [--requests N]\n");
+        std::exit(1);  // not reached
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  const char* plain_argv[] = {"prog", "--requests", "5"};
+  ArgParser plain(3, const_cast<char**>(plain_argv));
+  plain.exit_on_help("usage: prog\n");  // no --help: returns
+  EXPECT_EQ(plain.get_int("requests", 0), 5);
 }
 
 TEST(WriteCsv, RoundTripsTableContents) {

@@ -363,20 +363,29 @@ TEST(Report, ExtractBaselineFlatAndRouterSchemas) {
       << error;
   BaselineStats base = extract_baseline(flat);
   ASSERT_TRUE(base.ok);
-  EXPECT_EQ(base.source_prefix, "");
   EXPECT_EQ(base.throughput_rps, 12.5);
   EXPECT_EQ(base.p95_ms, 9.0);
 
+  // Router baselines share the flat schema; achieved_rps wins over the
+  // throughput_rps alias.
+  FlatJson router;
+  ASSERT_TRUE(parse_flat_json(
+      R"({"deployment": "router", "achieved_rps": 40, "throughput_rps": 1,
+          "latency_ms": {"p95": 3, "p99": 5}})",
+      router, error))
+      << error;
+  BaselineStats routed = extract_baseline(router);
+  ASSERT_TRUE(routed.ok);
+  EXPECT_EQ(routed.throughput_rps, 40.0);
+  EXPECT_EQ(routed.p99_ms, 5.0);
+
+  // Figures nested under a sub-object are not a baseline.
   FlatJson nested;
   ASSERT_TRUE(parse_flat_json(
       R"({"sharded": {"throughput_rps": 40, "latency_ms": {"p95": 3, "p99": 5}}})",
       nested, error))
       << error;
-  BaselineStats sharded = extract_baseline(nested);
-  ASSERT_TRUE(sharded.ok);
-  EXPECT_EQ(sharded.source_prefix, "sharded.");
-  EXPECT_EQ(sharded.throughput_rps, 40.0);
-  EXPECT_EQ(sharded.p99_ms, 5.0);
+  EXPECT_FALSE(extract_baseline(nested).ok);
 
   FlatJson junk;
   ASSERT_TRUE(parse_flat_json(R"({"unrelated": 1})", junk, error));

@@ -479,7 +479,7 @@ TEST(ObsExemplars, MergedHistogramRenderIsBytePinned) {
 
 // The OpenMetrics round-trip: render with exemplars, parse, recover the
 // trace ids — and the default render stays byte-identical to pre-exemplar
-// output so v1..v3 consumers (and the telemetry frames) see no change.
+// output so plain-text consumers (and the telemetry frames) see no change.
 TEST(ObsExemplars, OpenMetricsRenderRoundTripsThroughTheParser) {
   MetricsRegistry reg;
   HistogramMetric& latency =

@@ -17,6 +17,8 @@
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
+#include "shard/router.hpp"
+#include "shard/router_server.hpp"
 
 namespace cosched {
 namespace {
@@ -513,100 +515,153 @@ TEST(RpcFaults, ConnectionCapRefusesTheOverflow) {
   server.stop();
 }
 
-// ------------------------------------------- v5 shard-aware wire compat
+// ------------------------------------------------ version refusal
 
-/// One raw request/response exchange at an explicit protocol version —
-/// exactly the bytes a version-N peer would produce.
-ResponseEnvelope raw_exchange(std::uint16_t port, std::uint16_t version,
-                              MessageType type, std::uint64_t request_id,
-                              std::vector<std::uint8_t> body) {
-  NetStatus net = NetStatus::Ok;
-  Socket raw = Socket::connect_to("127.0.0.1", port, Deadline::after(2.0),
-                                  net);
-  EXPECT_EQ(net, NetStatus::Ok);
-  RequestEnvelope request;
-  request.version = version;
-  request.type = type;
-  request.request_id = request_id;
-  request.body = std::move(body);
-  EXPECT_EQ(write_frame(raw, encode_request(request), Deadline::after(2.0)),
-            FrameStatus::Ok);
-  std::vector<std::uint8_t> payload;
-  EXPECT_EQ(read_frame(raw, payload, Deadline::after(5.0)), FrameStatus::Ok);
+/// The request bytes a peer of `version` puts on the wire: the prefix every
+/// version shares, a trace id when `with_trace_id` (versions before 3 had
+/// none), then the body.
+std::vector<std::uint8_t> peer_request(std::uint16_t version,
+                                       bool with_trace_id, MessageType type,
+                                       std::uint64_t request_id,
+                                       const std::vector<std::uint8_t>& body) {
+  WireWriter w;
+  w.u16(version);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(request_id);
+  if (with_trace_id) w.u64(0x5151);
+  w.bytes_raw(body);
+  return w.take();
+}
+
+/// Sends one raw payload on `raw` and decodes the reply envelope.
+ResponseEnvelope round_trip(Socket& raw,
+                            const std::vector<std::uint8_t>& payload) {
+  EXPECT_EQ(write_frame(raw, payload, Deadline::after(2.0)), FrameStatus::Ok);
+  std::vector<std::uint8_t> reply;
+  EXPECT_EQ(read_frame(raw, reply, Deadline::after(5.0)), FrameStatus::Ok);
   ResponseEnvelope response;
-  EXPECT_TRUE(decode_response(payload, response));
+  EXPECT_TRUE(decode_response(reply, response));
   return response;
 }
 
-// Every pre-v5 peer must get a SubmitJob ack that ends exactly where it
-// always did — the shard id travels on v5 wires only, even when the server
-// is deployed as a shard (shard_id set).
-TEST(ShardCompat, V1ToV4PeersGetShardFreeSubmitAcks) {
-  ServerOptions options = loopback_options();
-  options.shard_id = 3;  // a sharded deployment's backend server
-  CoschedServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  for (std::uint16_t version = 1; version <= 4; ++version) {
-    TraceJob job;
-    job.name = "compat-v" + std::to_string(version);
-    job.work = 4.0;
-    job.arrival_time = static_cast<Real>(version);
-    WireWriter body;
-    encode_trace_job(body, job);
-    ResponseEnvelope response =
-        raw_exchange(server.port(), version, MessageType::SubmitJob, version,
-                     body.take());
-    EXPECT_EQ(response.version, version);
-    ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-
-    WireReader r(response.body);
-    SubmitJobResponse ack;
-    ack.shard_id = 99;  // decoder must reset to the -1 default
-    ASSERT_TRUE(decode_submit_response(r, ack));
-    EXPECT_EQ(r.remaining(), 0u) << "v" << version
-                                 << " ack carries trailing bytes";
-    EXPECT_EQ(ack.shard_id, -1);
-    EXPECT_GE(ack.job_id, 0);
-  }
-  server.stop();
+Socket connect_raw(std::uint16_t port) {
+  NetStatus net = NetStatus::Ok;
+  Socket raw = Socket::connect_to("127.0.0.1", port, Deadline::after(2.0), net);
+  EXPECT_EQ(net, NetStatus::Ok);
+  return raw;
 }
 
-// Same pin for GetMetrics: a v4 peer's body ends after the v4 block; the
-// v5 shard/fan-in fields never leak backwards.
-TEST(ShardCompat, V4PeerGetsNoShardBlock) {
-  ServerOptions options = loopback_options();
-  options.shard_id = 2;
-  CoschedServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
+/// Older (1, 7) and newer peers get VersionMismatch in the server's own
+/// version — not BadRequest, not a dropped connection — for every message,
+/// streaming included, and the connection then serves the current version.
+void expect_refuses_foreign_peers(std::uint16_t port) {
+  Socket raw = connect_raw(port);
+  WireWriter job;
+  TraceJob trace_job;
+  trace_job.name = "tenantA/foreign";
+  trace_job.work = 4.0;
+  encode_trace_job(job, trace_job);
+  WireWriter subscribe;
+  encode_telemetry_subscribe_request(subscribe, TelemetrySubscribeRequest{});
+  struct Peer {
+    std::uint16_t version;
+    bool with_trace_id;
+  };
+  const Peer peers[] = {{1, false}, {7, true}, {kProtocolVersion + 1, true}};
+  const std::pair<MessageType, std::vector<std::uint8_t>> requests[] = {
+      {MessageType::SubmitJob, job.bytes()},
+      {MessageType::GetMetrics, {}},
+      {MessageType::GetAlerts, {}},
+      {MessageType::SubscribeTelemetry, subscribe.bytes()}};
+  std::uint64_t id = 100;
+  for (const Peer& peer : peers) {
+    for (const auto& [type, body] : requests) {
+      SCOPED_TRACE(std::string("v") + std::to_string(peer.version) + " " +
+                   to_string(type));
+      ResponseEnvelope response =
+          round_trip(raw, peer_request(peer.version, peer.with_trace_id,
+                                       type, ++id, body));
+      EXPECT_EQ(response.version, kProtocolVersion);
+      EXPECT_EQ(response.status, RpcStatus::VersionMismatch);
+      EXPECT_EQ(response.type, type);
+      EXPECT_EQ(response.request_id, id);
+      EXPECT_NE(response.error.find(std::to_string(peer.version)),
+                std::string::npos)
+          << response.error;
+    }
+  }
 
-  ResponseEnvelope response = raw_exchange(
-      server.port(), 4, MessageType::GetMetrics, 91, {});
-  EXPECT_EQ(response.version, 4);
+  RequestEnvelope current;
+  current.type = MessageType::GetMetrics;
+  current.request_id = 7;
+  ResponseEnvelope response = round_trip(raw, encode_request(current));
   ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-
   WireReader r(response.body);
   MetricsResponse metrics;
-  metrics.shard_id = 77;  // decoder must reset every v5 default
-  metrics.command_queue_depth = 123;
-  metrics.replan_p95_seconds = 1.5;
-  metrics.router_spillovers = 9;
-  metrics.router_remapped_keys = 9;
-  metrics.shards.push_back({});
-  ASSERT_TRUE(decode_metrics_response(r, metrics));
-  EXPECT_EQ(r.remaining(), 0u);  // v4 body ends after the v4 block
-  EXPECT_EQ(metrics.shard_id, -1);
-  EXPECT_EQ(metrics.command_queue_depth, 0u);
-  EXPECT_EQ(metrics.replan_p95_seconds, 0.0);
-  EXPECT_EQ(metrics.router_spillovers, 0u);
-  EXPECT_EQ(metrics.router_remapped_keys, 0u);
-  EXPECT_TRUE(metrics.shards.empty());
+  ASSERT_TRUE(decode_metrics_response(r, metrics) && r.complete());
+  EXPECT_EQ(metrics.arrivals, 0u);  // no refused submit was admitted
+}
+
+/// Each body has one layout: short by a byte or long by a byte is a
+/// BadRequest, and the connection keeps serving.
+void expect_rejects_misshapen_bodies(std::uint16_t port) {
+  Socket raw = connect_raw(port);
+  WireWriter job;
+  TraceJob trace_job;
+  trace_job.name = "tenantA/misshapen";
+  trace_job.work = 4.0;
+  encode_trace_job(job, trace_job);
+  std::vector<std::uint8_t> truncated = job.bytes();
+  truncated.resize(truncated.size() - 1);
+  std::vector<std::uint8_t> trailing = job.bytes();
+  trailing.push_back(0);
+  WireWriter short_id;
+  short_id.u32(1);
+  const std::pair<MessageType, std::vector<std::uint8_t>> requests[] = {
+      {MessageType::SubmitJob, truncated},
+      {MessageType::SubmitJob, trailing},
+      {MessageType::QueryJobTimeline, short_id.bytes()},
+      {MessageType::GetAlerts, {1}},
+      {MessageType::GetMetrics, {0}}};
+  std::uint64_t id = 200;
+  for (const auto& [type, body] : requests) {
+    SCOPED_TRACE(to_string(type));
+    RequestEnvelope request;
+    request.type = type;
+    request.request_id = ++id;
+    request.body = body;
+    ResponseEnvelope response = round_trip(raw, encode_request(request));
+    EXPECT_EQ(response.status, RpcStatus::BadRequest) << response.error;
+    EXPECT_EQ(response.request_id, id);
+  }
+}
+
+TEST(ProtocolVersion, CoschedServerRefusesOldAndFuturePeers) {
+  CoschedServer server(loopback_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  expect_refuses_foreign_peers(server.port());
+  expect_rejects_misshapen_bodies(server.port());
+  EXPECT_EQ(server.stats().malformed_frames, 0u);
   server.stop();
 }
 
-// A v5 peer against a shard-deployed server sees the shard identity in
+TEST(ProtocolVersion, RouterServerRefusesOldAndFuturePeers) {
+  ShardRouter router(RouterOptions{});
+  for (int i = 0; i < 2; ++i)
+    router.add_local_shard(loopback_options().service);
+  RouterServer server(router, RouterServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  expect_refuses_foreign_peers(server.port());
+  expect_rejects_misshapen_bodies(server.port());
+  EXPECT_EQ(server.stats().malformed_frames, 0u);
+  server.stop();
+}
+
+// ------------------------------------------------ shard-aware wire
+
+// A client against a shard-deployed server sees the shard identity in
 // both the SubmitJob ack and the GetMetrics shard block (fan-in list empty:
 // a single server fronts no shards).
 TEST(ShardCompat, V5PeerSeesShardIdentity) {
@@ -632,8 +687,8 @@ TEST(ShardCompat, V5PeerSeesShardIdentity) {
   server.stop();
 }
 
-// Round-trip of the v5 fan-in block itself, shard entries included — the
-// encoder/decoder pair a router and a v5 client exercise.
+// Round-trip of the fan-in block itself, shard entries included — the
+// encoder/decoder pair a router and a client exercise.
 TEST(ShardCompat, MetricsFanInBlockRoundTrips) {
   MetricsResponse response;
   response.virtual_now = 12.5;
@@ -662,7 +717,7 @@ TEST(ShardCompat, MetricsFanInBlockRoundTrips) {
   response.shards = {a, b};
 
   WireWriter w;
-  encode_metrics_response(w, response, 5);
+  encode_metrics_response(w, response);
   WireReader r(w.bytes());
   MetricsResponse got;
   ASSERT_TRUE(decode_metrics_response(r, got));
@@ -686,32 +741,10 @@ TEST(ShardCompat, MetricsFanInBlockRoundTrips) {
   EXPECT_FALSE(decode_metrics_response(truncated, bad));
 }
 
-// ------------------------------------------- v6 health fan-in wire compat
+// ---------------------------------------------------- health fan-in wire
 
-// A v5 peer's GetMetrics body must end exactly where it always did: the v6
-// shard-health block never leaks backwards, and the decoder resets the v6
-// defaults when fed an older body.
-TEST(ShardCompat, V5PeerGetsNoHealthBlock) {
-  MetricsResponse response;
-  response.virtual_now = 5.0;
-  ShardHealthEntry health;
-  health.shard_id = 0;
-  health.up = false;
-  health.transport_errors = 4;
-  response.shard_health.push_back(health);
-
-  WireWriter w;
-  encode_metrics_response(w, response, 5);
-  WireReader r(w.bytes());
-  MetricsResponse got;
-  got.shard_health.push_back({});  // decoder must reset the v6 default
-  ASSERT_TRUE(decode_metrics_response(r, got));
-  EXPECT_EQ(r.remaining(), 0u) << "v5 body carries trailing bytes";
-  EXPECT_TRUE(got.shard_health.empty());
-}
-
-// Round-trip of the v6 health block itself — per-shard liveness and the
-// per-kind RPC failure counters a router answers to a v6 peer.
+// Round-trip of the health block itself — per-shard liveness and the
+// per-kind RPC failure counters a router answers with.
 TEST(ShardCompat, HealthBlockRoundTripsAtV6) {
   MetricsResponse response;
   response.virtual_now = 8.0;
@@ -728,7 +761,7 @@ TEST(ShardCompat, HealthBlockRoundTripsAtV6) {
   response.shard_health = {a, b};
 
   WireWriter w;
-  encode_metrics_response(w, response, 6);
+  encode_metrics_response(w, response);
   WireReader r(w.bytes());
   MetricsResponse got;
   ASSERT_TRUE(decode_metrics_response(r, got));
@@ -751,7 +784,7 @@ TEST(ShardCompat, HealthBlockRoundTripsAtV6) {
   EXPECT_FALSE(decode_metrics_response(truncated, bad));
 }
 
-// --------------------------------------- v7 decision-journal wire compat
+// ---------------------------------------------- decision-journal wire
 
 TEST(TimelineWire, JournalEventAndResponseRoundTrip) {
   JournalEvent event;
@@ -815,57 +848,6 @@ TEST(TimelineWire, JournalEventAndResponseRoundTrip) {
   // An undecodable event kind is rejected too.
   JournalEventKind kind;
   EXPECT_FALSE(journal_event_kind_from(200, kind));
-}
-
-// A v6 peer against a v7 server keeps getting byte-identical replies: the
-// GetMetrics body still ends after the v6 health block and the TraceDump
-// body still decodes cleanly with nothing trailing. New messages must ride
-// new requests, never leak into old reply shapes.
-TEST(TimelineCompat, V6RepliesArePinnedUnderV7Server) {
-  ServerOptions options = loopback_options();
-  options.shard_id = 1;
-  CoschedServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  ResponseEnvelope metrics_reply =
-      raw_exchange(server.port(), 6, MessageType::GetMetrics, 61, {});
-  EXPECT_EQ(metrics_reply.version, 6);
-  ASSERT_EQ(metrics_reply.status, RpcStatus::Ok) << metrics_reply.error;
-  WireReader mr(metrics_reply.body);
-  MetricsResponse metrics;
-  ASSERT_TRUE(decode_metrics_response(mr, metrics));
-  EXPECT_EQ(mr.remaining(), 0u) << "v6 GetMetrics body carries trailing bytes";
-  EXPECT_EQ(metrics.shard_id, 1);
-
-  ResponseEnvelope trace_reply =
-      raw_exchange(server.port(), 6, MessageType::TraceDump, 62, {});
-  EXPECT_EQ(trace_reply.version, 6);
-  ASSERT_EQ(trace_reply.status, RpcStatus::Ok) << trace_reply.error;
-  WireReader tr(trace_reply.body);
-  TraceDumpResponse trace;
-  ASSERT_TRUE(decode_trace_dump_response(tr, trace));
-  EXPECT_EQ(tr.remaining(), 0u) << "v6 TraceDump body carries trailing bytes";
-  server.stop();
-}
-
-// QueryJobTimeline is v7-only: a pre-v7 peer asking for it gets a clean
-// BadRequest in its own version, not a dropped connection or a reply body
-// it cannot decode.
-TEST(TimelineCompat, PreV7TimelineRequestsGetBadRequest) {
-  CoschedServer server(loopback_options());
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  WireWriter body;
-  body.i64(0);
-  ResponseEnvelope response = raw_exchange(
-      server.port(), 6, MessageType::QueryJobTimeline, 63, body.bytes());
-  EXPECT_EQ(response.version, 6);
-  EXPECT_EQ(response.status, RpcStatus::BadRequest);
-  EXPECT_NE(response.error.find("protocol v7"), std::string::npos)
-      << response.error;
-  server.stop();
 }
 
 // The end-to-end explainability loop: a job submitted over TCP answers a
@@ -951,7 +933,7 @@ TEST(TimelineLoopback, OverflowAnswersTruncatedMarkerNotError) {
   server.stop();
 }
 
-// ------------------------------------------- v8 alert fan-in wire compat
+// --------------------------------------------------- alert fan-in wire
 
 TEST(AlertWire, AlertsResponseRoundTripsAndRejectsCorruption) {
   AlertsResponse reply;
@@ -1014,58 +996,6 @@ TEST(AlertWire, AlertsResponseRoundTripsAndRejectsCorruption) {
   encode_alerts_response(wv, bad_severity);
   WireReader rv(wv.bytes());
   EXPECT_FALSE(decode_alerts_response(rv, got));
-}
-
-// GetAlerts is v8-only: a pre-v8 peer asking for it gets a clean
-// BadRequest in its own version, not a dropped connection.
-TEST(AlertCompat, PreV8AlertRequestsGetBadRequest) {
-  CoschedServer server(loopback_options());
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  ResponseEnvelope response =
-      raw_exchange(server.port(), 7, MessageType::GetAlerts, 81, {});
-  EXPECT_EQ(response.version, 7);
-  EXPECT_EQ(response.status, RpcStatus::BadRequest);
-  EXPECT_NE(response.error.find("protocol v8"), std::string::npos)
-      << response.error;
-
-  // A v8 GetAlerts with a non-empty body is malformed too.
-  ResponseEnvelope trailing =
-      raw_exchange(server.port(), 8, MessageType::GetAlerts, 82, {1});
-  EXPECT_EQ(trailing.status, RpcStatus::BadRequest);
-  server.stop();
-}
-
-// A v7 peer against a v8 server keeps getting byte-identical replies: the
-// GetMetrics body still ends after its last v7 block and TraceDump decodes
-// with nothing trailing. The alert fan-in rides GetAlerts only.
-TEST(AlertCompat, V7RepliesArePinnedUnderV8Server) {
-  ServerOptions options = loopback_options();
-  options.shard_id = 4;
-  CoschedServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  ResponseEnvelope metrics_reply =
-      raw_exchange(server.port(), 7, MessageType::GetMetrics, 71, {});
-  EXPECT_EQ(metrics_reply.version, 7);
-  ASSERT_EQ(metrics_reply.status, RpcStatus::Ok) << metrics_reply.error;
-  WireReader mr(metrics_reply.body);
-  MetricsResponse metrics;
-  ASSERT_TRUE(decode_metrics_response(mr, metrics));
-  EXPECT_EQ(mr.remaining(), 0u) << "v7 GetMetrics body carries trailing bytes";
-  EXPECT_EQ(metrics.shard_id, 4);
-
-  ResponseEnvelope trace_reply =
-      raw_exchange(server.port(), 7, MessageType::TraceDump, 72, {});
-  EXPECT_EQ(trace_reply.version, 7);
-  ASSERT_EQ(trace_reply.status, RpcStatus::Ok) << trace_reply.error;
-  WireReader tr(trace_reply.body);
-  TraceDumpResponse trace;
-  ASSERT_TRUE(decode_trace_dump_response(tr, trace));
-  EXPECT_EQ(tr.remaining(), 0u) << "v7 TraceDump body carries trailing bytes";
-  server.stop();
 }
 
 // GetAlerts against a live server: the default watchdog rules answer with
