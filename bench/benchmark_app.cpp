@@ -57,7 +57,7 @@ namespace {
 
 using namespace cosched;
 
-const char* const kUsage = R"(usage: benchmark_app [--name value ...]
+const char* const kUsage = R"(usage: benchmark_app [--<flag> value ...]
 
 generator
   --mode open|closed        open loop (default) or closed loop
@@ -162,7 +162,7 @@ bool fan_in_holds(const MetricsResponse& metrics, std::int64_t expect_shards,
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  args.exit_on_help(kUsage);
+  args.enforce_usage(kUsage);
   // Read before anything starts: a malformed number exits on the spot.
   const double drain_timeout = args.get_real("drain-timeout", 300.0);
   const Real tolerance = args.get_real("tolerance", 0.25);

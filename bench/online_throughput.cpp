@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
             << " s\n";
 
   if (!trace_out.empty()) {
-    if (Tracer::global().write_chrome_json(trace_out))
+    if (write_text_file(trace_out, Tracer::global().export_chrome_json()))
       std::cout << "wrote " << trace_out << "\n";
   }
 

@@ -233,7 +233,8 @@ int main(int argc, char** argv) {
   // --profile-out FILE drops the lifetime collapsed-stack profile (the same
   // text /debug/profile serves live) for flamegraph.pl / speedscope.
   std::string profile_out = args.get_string("profile-out", "");
-  if (!profile_out.empty() && Profiler::global().write_collapsed(profile_out))
+  if (!profile_out.empty() &&
+      write_text_file(profile_out, Profiler::global().render_collapsed()))
     std::cout << "wrote " << profile_out << "\n";
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "harness/experiment.hpp"
 
+#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -41,12 +42,34 @@ T parse_number_or_exit(const std::string& name, const std::string& text) {
   return value;
 }
 
+/// True iff `usage` spells "--<flag>" as a whole token ("--tsdb" is not
+/// mentioned by "--tsdb-raw").
+bool usage_mentions(const std::string& usage, const std::string& flag) {
+  if (flag.empty()) return false;
+  const std::string token = "--" + flag;
+  for (std::size_t at = usage.find(token); at != std::string::npos;
+       at = usage.find(token, at + 1)) {
+    std::size_t end = at + token.size();
+    if (end == usage.size() ||
+        !(std::isalnum(static_cast<unsigned char>(usage[end])) ||
+          usage[end] == '-'))
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
-void ArgParser::exit_on_help(const std::string& usage) const {
-  if (!has("help")) return;
-  std::cout << usage;
-  std::exit(0);
+void ArgParser::enforce_usage(const std::string& usage) const {
+  if (has("help")) {
+    std::cout << usage;
+    std::exit(0);
+  }
+  for (const auto& [name, value] : args_) {
+    if (usage_mentions(usage, name)) continue;
+    std::cerr << "unknown flag --" << name << "\n" << usage;
+    std::exit(2);
+  }
 }
 
 bool ArgParser::has(const std::string& name) const {
@@ -84,18 +107,21 @@ void print_experiment_header(const std::string& artefact,
             << "==============================================================\n";
 }
 
-std::string write_csv(const std::string& out_dir, const std::string& name,
-                      const TextTable& table) {
+bool write_text_file(const std::string& path, const std::string& content) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  fs::create_directories(out_dir, ec);
-  std::string path = out_dir + "/" + name + ".csv";
+  fs::path parent = fs::path(path).parent_path();
+  if (!parent.empty()) fs::create_directories(parent, ec);
   std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: cannot write " << path << "\n";
-    return {};
-  }
-  out << table.render_csv();
+  if (out) out << content;
+  if (!out) std::cerr << "warning: cannot write " << path << "\n";
+  return static_cast<bool>(out);
+}
+
+std::string write_csv(const std::string& out_dir, const std::string& name,
+                      const TextTable& table) {
+  std::string path = out_dir + "/" + name + ".csv";
+  if (!write_text_file(path, table.render_csv())) return {};
   std::cout << "[csv] " << path << "\n";
   return path;
 }

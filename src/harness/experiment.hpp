@@ -11,16 +11,19 @@
 
 namespace cosched {
 
-/// Minimal "--name value" / "--flag" parser. Unknown flags are ignored so
-/// every bench accepts at least --scale and --out-dir. A numeric flag whose
-/// value does not parse in full ("abc", "12abc") is a usage error: the
-/// getter prints "--<name> expects a number, got '<value>'" and exits 2.
+/// Minimal "--name value" / "--flag" parser. Unknown flags are ignored
+/// unless the binary calls enforce_usage(), so every bench accepts at least
+/// --scale and --out-dir. A numeric flag whose value does not parse in full
+/// ("abc", "12abc") is a usage error: the getter prints "--<name> expects a
+/// number, got '<value>'" and exits 2.
 class ArgParser {
  public:
   ArgParser(int argc, char** argv);
 
-  /// With --help on the command line, prints `usage` and exits 0.
-  void exit_on_help(const std::string& usage) const;
+  /// Holds the command line to `usage`: with --help, prints it and exits 0;
+  /// otherwise any --flag that `usage` does not mention is a usage error
+  /// (prints "unknown flag --<name>" and the usage, exits 2).
+  void enforce_usage(const std::string& usage) const;
 
   bool has(const std::string& name) const;
   std::string get_string(const std::string& name,
@@ -36,6 +39,11 @@ class ArgParser {
 /// regenerates.
 void print_experiment_header(const std::string& artefact,
                              const std::string& description);
+
+/// Writes `content` to `path`, creating missing parent directories. False
+/// (with a stderr warning) on I/O failure. Every report, trace, profile and
+/// scraped page a binary drops goes through here.
+bool write_text_file(const std::string& path, const std::string& content);
 
 /// Writes `table` as CSV to `<out_dir>/<name>.csv` (no-op with a warning if
 /// the directory cannot be written). Returns the path written.

@@ -1,7 +1,5 @@
 #include "loadgen/report.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 namespace cosched {
@@ -45,17 +43,6 @@ std::string BenchReport::to_json() const {
        << "  }\n"
        << "}\n";
   return json.str();
-}
-
-bool write_text_file(const std::string& path, const std::string& content) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::path parent = fs::path(path).parent_path();
-  if (!parent.empty()) fs::create_directories(parent, ec);
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
 }
 
 BaselineStats extract_baseline(const FlatJson& json) {

@@ -53,10 +53,6 @@ struct BenchReport {
   std::string to_json() const;
 };
 
-/// Writes `content` to `path`, creating parent directories. Shared by every
-/// bench that emits a report or a scraped /metrics page.
-bool write_text_file(const std::string& path, const std::string& content);
-
 /// The four figures a regression check needs, pulled out of a parsed
 /// baseline.
 struct BaselineStats {

@@ -427,11 +427,10 @@ void AlertEngine::set_journal(DecisionJournal* journal) {
 }
 
 bool AlertEngine::tick_registry(const MetricsRegistry& registry, double now) {
-  if (kAlertsDisabled) return false;
   return tick(registry.render_prometheus(/*with_exemplars=*/false), now);
 }
 
-bool AlertEngine::tick_impl(const std::string& exposition, double now) {
+bool AlertEngine::tick(const std::string& exposition, double now) {
   if (!tsdb_.scrape_text(exposition, now)) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   last_tick_ = now;
@@ -644,14 +643,13 @@ std::map<std::string, std::uint64_t> AlertEngine::transition_counts() const {
   return transitions_;
 }
 
-bool AlertEngine::start_impl() {
-  if (thread_.joinable()) return true;
+void AlertEngine::start() {
+  if (thread_.joinable()) return;
   {
     std::lock_guard<std::mutex> lock(stop_mutex_);
     stop_requested_ = false;
   }
   thread_ = std::thread([this] { thread_main(); });
-  return true;
 }
 
 void AlertEngine::stop() {

@@ -30,11 +30,9 @@
 // exposition, so tests drive the full lifecycle without sleeping. The
 // background thread (start/stop) just calls tick on the wall clock.
 //
-// COSCHED_ALERTS_DISABLED compiles the watchdog out of a translation
-// unit: kAlertsDisabled flips, AlertEngine::start() refuses to spawn the
-// scrape thread and tick() no-ops, so a build with the define pays only
-// an untaken branch (gated ≤2 % in CI, like the trace/profile/log
-// switches).
+// There is no compile-time switch: a server started with enable_alerts =
+// false (`--alerts 0`) builds no engine and starts no thread, and CI gates
+// the default engine's cost at <= 2 % against that.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +50,6 @@ namespace cosched {
 
 class DecisionJournal;
 class MetricsRegistry;
-
-#ifdef COSCHED_ALERTS_DISABLED
-inline constexpr bool kAlertsDisabled = true;
-#else
-inline constexpr bool kAlertsDisabled = false;
-#endif
 
 enum class AlertState : std::uint8_t {
   Inactive = 0,  ///< condition false, at rest
@@ -181,22 +173,15 @@ class AlertEngine {
   void set_journal(DecisionJournal* journal);
 
   /// One deterministic evaluation step: ingest `exposition` at `now`,
-  /// then run every rule's state machine. No-op (returns false) in a
-  /// COSCHED_ALERTS_DISABLED translation unit.
-  bool tick(const std::string& exposition, double now) {
-    if (kAlertsDisabled) return false;
-    return tick_impl(exposition, now);
-  }
+  /// then run every rule's state machine. False when the exposition does
+  /// not parse (nothing is ingested or evaluated).
+  bool tick(const std::string& exposition, double now);
   /// tick() on a fresh render of `registry`.
   bool tick_registry(const MetricsRegistry& registry, double now);
 
   /// Spawns the background scrape-and-evaluate thread over the global
-  /// registry at options().scrape_interval_seconds. Returns false (and
-  /// stays stopped) in a COSCHED_ALERTS_DISABLED translation unit.
-  bool start() {
-    if (kAlertsDisabled) return false;
-    return start_impl();
-  }
+  /// registry at options().scrape_interval_seconds (no-op when running).
+  void start();
   void stop();
   bool running() const { return thread_.joinable(); }
 
@@ -226,8 +211,6 @@ class AlertEngine {
     std::string detail;
   };
 
-  bool tick_impl(const std::string& exposition, double now);
-  bool start_impl();
   void evaluate_locked(RuleState& rs, double now, std::uint64_t trace_id);
   bool condition_locked(const RuleState& rs, double now, double& value,
                         std::string& detail) const;

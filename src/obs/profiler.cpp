@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <functional>
-#include <iostream>
 #include <map>
 #include <sstream>
 
@@ -174,28 +171,6 @@ std::string Profiler::render_text() const {
         << " self_ms=" << self_ms << "\n";
   }
   return out.str();
-}
-
-bool Profiler::write_collapsed(const std::string& path) const {
-  namespace fs = std::filesystem;
-  fs::path target(path);
-  if (target.has_parent_path()) {
-    std::error_code ec;
-    fs::create_directories(target.parent_path(), ec);
-    if (ec) {
-      std::cerr << "warning: cannot create profile directory "
-                << target.parent_path().string() << ": " << ec.message()
-                << "\n";
-      return false;
-    }
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: cannot write profile file " << path << "\n";
-    return false;
-  }
-  out << render_collapsed();
-  return true;
 }
 
 }  // namespace cosched

@@ -1,12 +1,15 @@
 // Continuous wall-time profiler for the replan hot path.
 //
 // Where the Tracer answers "what happened on this request", the Profiler
-// answers "where does the time go overall": scoped phase timers accumulate
+// answers "where does the time go overall": every COSCHED_TRACE_SPAN scope
+// (TraceSpan, trace.hpp) also enters a phase here, and phases accumulate
 // into a per-thread tree of (phase path -> call count, total wall time),
-// merged across threads at render time. The phase names reuse the span
-// taxonomy (online.replan -> replan.fresh_solve -> astar.search -> ...), so
-// a flamegraph of the profile and a Perfetto view of a trace describe the
-// same shapes.
+// merged across threads at render time. One span per site feeds both, so
+// the phase names are the span names (online.replan -> replan.fresh_solve
+// -> astar.search -> ...) and a flamegraph of the profile and a Perfetto
+// view of a trace describe the same shapes. The two runtime switches are
+// independent: the profiler records with the tracer off or the trace
+// sampled out.
 //
 // Cost model, because this runs continuously in production servers:
 //  * runtime-disabled (the default): one relaxed atomic load + branch per
@@ -23,12 +26,11 @@
 // /debug/profile HTTP endpoint and the --profile-out flags. Phase names
 // must be string literals (the tree stores the pointer, like the tracer).
 //
-// Compile-time kill switch: -DCOSCHED_PROFILE_DISABLED turns every
-// COSCHED_PROFILE_PHASE in that TU into a no-op with zero residue.
+// Compile-time kill switch: -DCOSCHED_OBS_DISABLED compiles the span macro
+// out, and with it every phase (see trace.hpp).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,7 +43,7 @@ class Profiler {
  public:
   Profiler();
 
-  /// Process-wide profiler used by the COSCHED_PROFILE_PHASE macro.
+  /// Process-wide profiler fed by the COSCHED_TRACE_SPAN macro.
   static Profiler& global();
 
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_release); }
@@ -72,11 +74,7 @@ class Profiler {
   /// Human-oriented indented tree with counts and milliseconds.
   std::string render_text() const;
 
-  /// Writes render_collapsed() to `path`, creating missing parent
-  /// directories. False (with a stderr warning) on I/O failure.
-  bool write_collapsed(const std::string& path) const;
-
-  // ---- hot-path entry points (ProfilePhase is the intended caller) -------
+  // ---- hot-path entry points (TraceSpan is the intended caller) ----------
   /// Descends into (creating on first visit) the child `name` of the
   /// calling thread's current node.
   void enter(const char* name);
@@ -108,46 +106,4 @@ class Profiler {
   std::vector<std::shared_ptr<ThreadTree>> trees_;
 };
 
-/// RAII phase scope. Latches the enabled decision at construction so
-/// enter/leave always pair even if the profiler is toggled mid-phase.
-class ProfilePhase {
- public:
-  explicit ProfilePhase(const char* name)
-      : active_(Profiler::global().enabled()) {
-    if (active_) {
-      Profiler::global().enter(name);
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ProfilePhase() {
-    if (active_) {
-      auto elapsed = std::chrono::steady_clock::now() - start_;
-      Profiler::global().leave(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()));
-    }
-  }
-  ProfilePhase(const ProfilePhase&) = delete;
-  ProfilePhase& operator=(const ProfilePhase&) = delete;
-
- private:
-  bool active_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace cosched
-
-// COSCHED_PROFILE_PHASE(var, name) — RAII phase timer bound to the
-// enclosing scope. Vanishes entirely (no profiler reference) in TUs
-// compiled with -DCOSCHED_PROFILE_DISABLED.
-#ifdef COSCHED_PROFILE_DISABLED
-
-#define COSCHED_PROFILE_PHASE(var, name) \
-  do {                                   \
-  } while (0)
-
-#else
-
-#define COSCHED_PROFILE_PHASE(var, name) ::cosched::ProfilePhase var(name)
-
-#endif  // COSCHED_PROFILE_DISABLED

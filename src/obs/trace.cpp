@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -578,28 +576,6 @@ std::string merge_chrome_traces(const std::vector<std::string>& parts) {
   }
   out += "]\n";
   return out;
-}
-
-bool Tracer::write_chrome_json(const std::string& path) const {
-  namespace fs = std::filesystem;
-  fs::path target(path);
-  if (target.has_parent_path()) {
-    std::error_code ec;
-    fs::create_directories(target.parent_path(), ec);
-    if (ec) {
-      std::cerr << "warning: cannot create trace directory "
-                << target.parent_path().string() << ": " << ec.message()
-                << "\n";
-      return false;
-    }
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: cannot write trace file " << path << "\n";
-    return false;
-  }
-  out << export_chrome_json();
-  return true;
 }
 
 }  // namespace cosched

@@ -35,11 +35,19 @@
 //    deterministic event sequence (threads in registration order, events in
 //    record order), which is what the tests byte-compare.
 //
-// Compile-time kill switch: defining COSCHED_TRACE_DISABLED in a TU turns
-// every COSCHED_TRACE_* macro in that TU into a no-op with zero residue
-// (no Tracer call, no guard object). Runtime switch: Tracer::set_enabled —
-// spans started while disabled record nothing, even if tracing is enabled
-// before they close.
+// One span per site: COSCHED_TRACE_SPAN is also the continuous profiler's
+// phase timer (profiler.hpp). The span latches the tracer's and the
+// profiler's runtime switches independently at construction, so the
+// profile keeps every phase with the tracer off or the trace sampled out.
+// Runtime switch: Tracer::set_enabled — spans started while disabled record
+// nothing, even if tracing is enabled before they close.
+//
+// Compile-time kill switch: -DCOSCHED_OBS_DISABLED (one switch for every
+// observability macro: COSCHED_TRACE_*, and COSCHED_LOG in log.hpp) turns
+// each macro into a no-op with zero residue (no Tracer or Profiler call, no
+// guard object, arguments not evaluated). It changes only what the macros
+// expand to — never a class, an inline function or a constant — so TUs
+// built with and without it link into one program safely.
 //
 // Span names must be string literals (or otherwise outlive the tracer):
 // events store the pointer, not a copy, to keep recording allocation-free
@@ -54,6 +62,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "util/common.hpp"
 
 namespace cosched {
@@ -201,10 +210,6 @@ class Tracer {
   /// request -> solver arrows.
   std::string export_chrome_json() const;
 
-  /// Writes export_chrome_json() to `path`, creating missing parent
-  /// directories. False (with a stderr warning) on I/O failure.
-  bool write_chrome_json(const std::string& path) const;
-
  private:
   struct ThreadBuffer {
     std::int32_t tid = 0;
@@ -281,36 +286,57 @@ class TraceContextScope {
   TraceContext previous_;
 };
 
-/// RAII span guard. Records nothing when the tracer was runtime-disabled at
-/// construction or the current trace is sampled out (and never
-/// "half-records": begin and end are paired).
+/// RAII span guard, the one instrumentation scope per site. It latches two
+/// runtime decisions at construction and never "half-records" (each begin
+/// is paired with its end):
+///  * the tracer records a begin/end pair iff it is enabled and the current
+///    trace is not sampled out;
+///  * the profiler enters phase `name` iff it is enabled, whatever the
+///    tracer decided.
+/// `make_args` builds the span's "k=v" detail and is called only when the
+/// tracer records, so a disabled tracer pays nothing for it.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name, Real virtual_time = -1.0,
-                     std::string args = {})
-      : active_(Tracer::global().enabled() &&
-                Tracer::global().should_record(name)) {
-    if (active_)
-      Tracer::global().begin_span(name, virtual_time, std::move(args));
+  explicit TraceSpan(const char* name, Real virtual_time = -1.0)
+      : TraceSpan(name, virtual_time, [] { return std::string(); }) {}
+  template <typename MakeArgs>
+  TraceSpan(const char* name, Real virtual_time, MakeArgs&& make_args)
+      : traced_(Tracer::global().enabled() &&
+                Tracer::global().should_record(name)),
+        profiled_(Profiler::global().enabled()) {
+    if (traced_) Tracer::global().begin_span(name, virtual_time, make_args());
+    if (profiled_) {
+      Profiler::global().enter(name);
+      start_ = std::chrono::steady_clock::now();
+    }
   }
   ~TraceSpan() {
-    if (active_) Tracer::global().end_span();
+    if (profiled_) {
+      auto elapsed = std::chrono::steady_clock::now() - start_;
+      Profiler::global().leave(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+              .count()));
+    }
+    if (traced_) Tracer::global().end_span();
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  bool active_;
+  bool traced_;
+  bool profiled_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace cosched
 
 // ---- macros ---------------------------------------------------------------
-// COSCHED_TRACE_SPAN(var, name[, virtual_time[, args]]) — RAII span bound to
-// the enclosing scope. COSCHED_TRACE_INSTANT / COSCHED_TRACE_COUNTER record
-// single events. All of them vanish entirely (no-ops, no tracer reference)
-// in TUs compiled with -DCOSCHED_TRACE_DISABLED.
-#ifdef COSCHED_TRACE_DISABLED
+// COSCHED_TRACE_SPAN(var, name[, virtual_time[, args]]) — RAII span (and
+// profiler phase) bound to the enclosing scope; the `args` expression is
+// evaluated only when the tracer records the span. COSCHED_TRACE_INSTANT /
+// COSCHED_TRACE_COUNTER record single events. All of them vanish entirely
+// (no-ops, no tracer or profiler reference) under -DCOSCHED_OBS_DISABLED.
+#ifdef COSCHED_OBS_DISABLED
 
 #define COSCHED_TRACE_SPAN(var, ...) \
   do {                               \
@@ -324,7 +350,15 @@ class TraceSpan {
 
 #else
 
-#define COSCHED_TRACE_SPAN(var, ...) ::cosched::TraceSpan var(__VA_ARGS__)
+#define COSCHED_TRACE_SPAN(var, ...)                                      \
+  COSCHED_TRACE_SPAN_PICK_(__VA_ARGS__, COSCHED_TRACE_SPAN_ARGS_,         \
+                           COSCHED_TRACE_SPAN_PLAIN_,                     \
+                           COSCHED_TRACE_SPAN_PLAIN_, )(var, __VA_ARGS__)
+#define COSCHED_TRACE_SPAN_PICK_(name, virtual_time, args, pick, ...) pick
+#define COSCHED_TRACE_SPAN_PLAIN_(var, ...) ::cosched::TraceSpan var(__VA_ARGS__)
+#define COSCHED_TRACE_SPAN_ARGS_(var, name, virtual_time, args) \
+  ::cosched::TraceSpan var((name), (virtual_time),              \
+                           [&] { return std::string(args); })
 #define COSCHED_TRACE_INSTANT(...)                        \
   do {                                                    \
     if (::cosched::Tracer::global().enabled())            \
@@ -336,4 +370,4 @@ class TraceSpan {
       ::cosched::Tracer::global().counter((name), (value));     \
   } while (0)
 
-#endif  // COSCHED_TRACE_DISABLED
+#endif  // COSCHED_OBS_DISABLED

@@ -11,7 +11,6 @@
 #include "core/degradation_models.hpp"
 #include "core/snapshot.hpp"
 #include "obs/log.hpp"
-#include "obs/profiler.hpp"
 #include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -404,7 +403,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   COSCHED_TRACE_SPAN(replan_span, "online.replan", clock_.now(),
                      std::string("reason=") + reason +
                          " solver=" + to_string(options_.solver));
-  COSCHED_PROFILE_PHASE(replan_phase, "online.replan");
 
   // Decision journal: one fleet-level event per fired replan, then one
   // per admitted job — all stamped with the trace that triggered us.
@@ -424,7 +422,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       pending_.begin(), pending_.begin() + admit);
   {
     COSCHED_TRACE_SPAN(admission_span, "replan.admission", clock_.now());
-    COSCHED_PROFILE_PHASE(admission_phase, "replan.admission");
     for (std::int32_t k = 0; k < admit; ++k) {
       std::int64_t job_id = pending_[static_cast<std::size_t>(k)];
       JobState& job = jobs_[static_cast<std::size_t>(job_id)];
@@ -466,7 +463,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   {
     WallTimer solve_timer;
     COSCHED_TRACE_SPAN(solve_span, "replan.fresh_solve", clock_.now());
-    COSCHED_PROFILE_PHASE(solve_phase, "replan.fresh_solve");
     problem.machine = machine_by_cores(options_.cores);
     std::vector<Real> rates;
     std::vector<Real> sens;
@@ -541,7 +537,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   ReplanResult result;
   {
     COSCHED_TRACE_SPAN(alignment_span, "replan.alignment", clock_.now());
-    COSCHED_PROFILE_PHASE(alignment_phase, "replan.alignment");
     const std::size_t u = options_.cores;
     Solution incumbent;
     incumbent.machines.resize(machines_.size());
@@ -579,7 +574,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   // degradations come straight off the core snapshot accessor instead of a
   // per-machine re-query loop.
   COSCHED_TRACE_SPAN(commit_span, "replan.commit", clock_.now());
-  COSCHED_PROFILE_PHASE(commit_phase, "replan.commit");
   // Pre-commit machine of every process: the commit loop overwrites it,
   // and the delta is what the journal's migration events report.
   std::vector<std::int32_t> prev_machine(procs_.size(), -1);

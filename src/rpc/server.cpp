@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/log.hpp"
-#include "obs/profiler.hpp"
 #include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "online/metrics.hpp"
@@ -52,15 +51,14 @@ bool CoschedServer::start(std::string& error) {
 
   // SLO watchdog: scrape-and-evaluate on a background tick. A standalone
   // server gets the default burn-rate rules against its latency budget
-  // unless the caller supplied a rule file. Engine construction is cheap;
-  // under COSCHED_ALERTS_DISABLED start() refuses and we drop it.
-  if (options_.enable_alerts && !kAlertsDisabled) {
+  // unless the caller supplied a rule file.
+  if (options_.enable_alerts) {
     AlertEngineOptions alert_options = options_.alerts;
     if (alert_options.rules.rules.empty())
       alert_options.rules = default_alert_rules(options_.alert_budget_ms);
     alerts_ = std::make_unique<AlertEngine>(std::move(alert_options));
     alerts_->set_journal(&service_->journal());
-    if (!alerts_->start()) alerts_.reset();
+    alerts_->start();
   }
 
   if (options_.enable_http) {
@@ -408,12 +406,12 @@ void CoschedServer::serve_connection(Socket socket) {
       TraceContextScope trace_scope(context);
       // Shard-addressable servers tag the request span with their shard id,
       // so a merged fleet dump attributes every span to its shard.
-      std::string span_args = std::string("type=") + to_string(request.type);
-      if (options_.shard_id >= 0)
-        span_args += " shard=" + std::to_string(options_.shard_id);
-      COSCHED_TRACE_SPAN(request_span, "rpc.request", -1.0,
-                         std::move(span_args));
-      COSCHED_PROFILE_PHASE(request_phase, "rpc.request");
+      COSCHED_TRACE_SPAN(
+          request_span, "rpc.request", -1.0,
+          std::string("type=") + to_string(request.type) +
+              (options_.shard_id >= 0
+                   ? " shard=" + std::to_string(options_.shard_id)
+                   : std::string()));
       response = handle_request(request);
       response.trace_id = trace_id;
     }

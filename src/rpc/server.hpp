@@ -68,8 +68,8 @@ struct ServerOptions {
   /// SLO watchdog: scrape the process registry into the embedded tsdb and
   /// evaluate alert rules on a background tick (obs/alerts.hpp). When
   /// `alerts.rules` is empty the server installs default_alert_rules()
-  /// against `alert_budget_ms`. Compiled out under COSCHED_ALERTS_DISABLED
-  /// regardless of this switch.
+  /// against `alert_budget_ms`. False builds no engine and starts no
+  /// thread (`--alerts 0`).
   bool enable_alerts = true;
   AlertEngineOptions alerts;
   /// Latency budget (ms) behind the default burn-rate rules; slo.json's

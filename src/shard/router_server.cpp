@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 
@@ -38,7 +37,7 @@ bool RouterServer::start(std::string& error) {
   // default burn-rate rules watch fleet-wide latency, not just this
   // process's registry. Remote shards run their own engines and are fanned
   // in by collect_alerts().
-  if (options_.enable_alerts && !kAlertsDisabled) {
+  if (options_.enable_alerts) {
     AlertEngineOptions alert_options = options_.alerts;
     if (alert_options.rules.rules.empty()) {
       alert_options.rules = default_alert_rules(options_.alert_budget_ms);
@@ -58,7 +57,7 @@ bool RouterServer::start(std::string& error) {
     }
     alerts_ = std::make_unique<AlertEngine>(std::move(alert_options));
     alerts_->set_journal(&router_.journal());
-    if (!alerts_->start()) alerts_.reset();
+    alerts_->start();
   }
 
   if (options_.enable_http) {
@@ -352,7 +351,6 @@ void RouterServer::serve_connection(Socket socket) {
       TraceContextScope trace_scope(context);
       COSCHED_TRACE_SPAN(request_span, "router.request", -1.0,
                          std::string("type=") + to_string(request.type));
-      COSCHED_PROFILE_PHASE(request_phase, "router.request");
       response = handle_request(request, trace_id);
       response.trace_id = trace_id;
     }

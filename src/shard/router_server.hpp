@@ -58,8 +58,8 @@ struct RouterServerOptions {
   std::uint16_t http_port = 0;  ///< 0 = ephemeral; read back with http_port()
   /// SLO watchdog over the router process's registry (which includes every
   /// local shard — they share the process). Remote shards run their own
-  /// engines; GetAlerts//alerts fans those in shard-labelled. Compiled out
-  /// under COSCHED_ALERTS_DISABLED regardless of this switch.
+  /// engines; GetAlerts//alerts fans those in shard-labelled. False builds
+  /// no engine and starts no thread (`--alerts 0`).
   bool enable_alerts = true;
   AlertEngineOptions alerts;
   /// Latency budget (ms) behind the default burn-rate rules.

@@ -1,13 +1,17 @@
 // AlertEngine: rule-file validation, the inactive → pending → firing →
 // resolved state machine, burn-rate semantics and the render surfaces.
-// Everything runs on tick(exposition, now) with a synthetic clock.
+// Everything runs on tick(exposition, now) with a synthetic clock. The
+// two text parsers the engine trusts (rule files, Prometheus expositions)
+// also get a seeded mutation sweep.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "obs/alerts.hpp"
 #include "obs/metrics_registry.hpp"
 #include "online/journal.hpp"
+#include "util/rng.hpp"
 
 namespace cosched {
 namespace {
@@ -366,6 +370,69 @@ TEST(AlertState, EnumRoundTrips) {
   AlertAgg agg;
   EXPECT_TRUE(parse_alert_agg("p95", agg));
   EXPECT_FALSE(parse_alert_agg("median", agg));
+}
+
+// ---- untrusted text: seeded mutation sweep ----------------------------------
+
+/// Feeds `parse` every truncation prefix of `text`, `text` plus a trailing
+/// byte, and 400 rounds of 1–4 random byte flips. Each input must be parsed
+/// or rejected, never crash; ASan/UBSan watch the reads. Returns how many
+/// inputs of the first two kinds were accepted.
+template <typename Parse>
+int mutation_sweep(const std::string& text, Parse parse) {
+  Rng rng(0xC05C4ED7E47ULL);
+  int accepted = parse(text + "x") ? 1 : 0;
+  for (std::size_t n = 0; n < text.size(); ++n)
+    accepted += parse(text.substr(0, n)) ? 1 : 0;
+  for (int round = 0; round < 400; ++round) {
+    std::string flipped = text;
+    for (std::uint64_t f = 0, flips = 1 + rng.uniform(4); f < flips; ++f)
+      flipped[rng.uniform(flipped.size())] ^=
+          static_cast<char>(1 + rng.uniform(255));
+    parse(flipped);  // either answer is fine
+  }
+  return accepted;
+}
+
+TEST(TextMutation, AlertRuleParserRejectsOrParsesEveryMutation) {
+  const std::string text =
+      R"({"_note": "x", "rules": [{"name": "q", "kind": "threshold",)"
+      R"( "severity": "warn", "metric": "cosched_depth", "agg": "p95",)"
+      R"( "window_seconds": 30, "op": "<", "threshold": -3.5e1,)"
+      R"( "for_seconds": 2, "clear_seconds": 1, "resolved_hold_seconds": 4},)"
+      R"( {"name": "burn", "kind": "burn_rate", "severity": "critical",)"
+      R"( "histogram": "cosched_lat_seconds", "budget_ms": 100,)"
+      R"( "objective": 0.99, "fast_window_seconds": 5,)"
+      R"( "slow_window_seconds": 30, "burn_factor": 4}]})";
+  auto parse = [](const std::string& input) {
+    AlertRuleSet out;
+    std::string why;
+    return parse_alert_rules(input, out, why);
+  };
+  ASSERT_TRUE(parse(text));
+  // One JSON object: no proper prefix closes it, and nothing may follow.
+  EXPECT_EQ(mutation_sweep(text, parse), 0);
+}
+
+TEST(TextMutation, PrometheusParserRejectsOrParsesEveryMutation) {
+  MetricsRegistry registry;
+  registry.counter("cosched_requests_total", "Requests served.").inc(1027);
+  registry.gauge("cosched_queue_depth", "Queue depth.").set(3.5);
+  HistogramMetric& latency = registry.histogram(
+      "cosched_request_seconds", "Request latency.", {0.005, 0.1, 1.0});
+  latency.observe(0.0031, 0xab);
+  latency.observe(7.0);
+  const std::string text = registry.render_prometheus(true);
+  ASSERT_NE(text.find("trace_id="), std::string::npos) << text;
+  auto parse = [](const std::string& input) {
+    std::vector<PrometheusSample> out;
+    return parse_prometheus_text(input, out);
+  };
+  ASSERT_TRUE(parse(text));
+  // Line-oriented: a prefix cut at a line end is a valid exposition, but
+  // a stray byte after the final newline is a sample without a value.
+  EXPECT_GT(mutation_sweep(text, parse), 0);
+  EXPECT_FALSE(parse(text + "x"));
 }
 
 }  // namespace

@@ -59,15 +59,34 @@ TEST(ArgParser, HelpPrintsUsageAndExitsZero) {
   ArgParser help(4, const_cast<char**>(help_argv));
   EXPECT_EXIT(
       {
-        help.exit_on_help("usage: prog [--requests N]\n");
+        help.enforce_usage("usage: prog [--requests N]\n");
         std::exit(1);  // not reached
       },
       ::testing::ExitedWithCode(0), "");
 
   const char* plain_argv[] = {"prog", "--requests", "5"};
   ArgParser plain(3, const_cast<char**>(plain_argv));
-  plain.exit_on_help("usage: prog\n");  // no --help: returns
+  plain.enforce_usage("usage: prog [--requests N]\n");  // no --help: returns
   EXPECT_EQ(plain.get_int("requests", 0), 5);
+}
+
+// A flag the usage text does not name is a typo, not a default: a
+// misspelt "--tolerence 0.1" must not run the gate at its default
+// tolerance. Names match whole tokens only ("--tsdb" is not "--tsdb-raw").
+TEST(ArgParser, UnknownFlagsExitWithUsageError) {
+  const std::string usage = "  --tolerance F, --tsdb-raw N, --router\n";
+  const char* typo_argv[] = {"prog", "--tolerence", "0.1"};
+  EXPECT_EXIT(ArgParser(3, const_cast<char**>(typo_argv)).enforce_usage(usage),
+              ::testing::ExitedWithCode(2), "unknown flag --tolerence");
+  const char* prefix_argv[] = {"prog", "--tsdb", "4"};
+  EXPECT_EXIT(
+      ArgParser(3, const_cast<char**>(prefix_argv)).enforce_usage(usage),
+      ::testing::ExitedWithCode(2), "unknown flag --tsdb");
+  const char* known_argv[] = {"prog", "--tolerance", "0.1", "--tsdb-raw=8",
+                              "--router"};
+  ArgParser known(5, const_cast<char**>(known_argv));
+  known.enforce_usage(usage);  // every flag is named: returns
+  EXPECT_EQ(known.get_int("tsdb-raw", 0), 8);
 }
 
 TEST(WriteCsv, RoundTripsTableContents) {

@@ -11,6 +11,7 @@
 #include "loadgen/arrival.hpp"
 #include "loadgen/flat_json.hpp"
 #include "loadgen/phase.hpp"
+#include "harness/experiment.hpp"
 #include "loadgen/report.hpp"
 #include "loadgen/shapes.hpp"
 #include "loadgen/slo.hpp"

@@ -1,14 +1,11 @@
-// Compile-time kill switch: this TU is built with -DCOSCHED_TRACE_DISABLED,
-// -DCOSCHED_PROFILE_DISABLED, -DCOSCHED_LOG_DISABLED and
-// -DCOSCHED_ALERTS_DISABLED (see tests/CMakeLists.txt), so every
-// COSCHED_TRACE_*, COSCHED_PROFILE_PHASE and COSCHED_LOG macro must expand
-// to a no-op — no events, phase samples or log records recorded even with
-// the runtime switches on — and the alert engine must refuse to tick or
-// spawn its scrape thread. This is the overhead story for builds that want
-// instrumentation gone entirely.
+// Compile-time kill switch: this TU is built with -DCOSCHED_OBS_DISABLED
+// (see tests/CMakeLists.txt), so every COSCHED_TRACE_* and COSCHED_LOG
+// macro must expand to a no-op — no trace events, profile phases or log
+// records, even with every runtime switch on. The switch changes macro
+// expansions only, so this TU links into the same test binary as the
+// instrumented ones without changing any shared definition.
 #include <gtest/gtest.h>
 
-#include "obs/alerts.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -16,17 +13,8 @@
 namespace cosched {
 namespace {
 
-#ifndef COSCHED_TRACE_DISABLED
-#error "this TU must be compiled with COSCHED_TRACE_DISABLED"
-#endif
-#ifndef COSCHED_PROFILE_DISABLED
-#error "this TU must be compiled with COSCHED_PROFILE_DISABLED"
-#endif
-#ifndef COSCHED_LOG_DISABLED
-#error "this TU must be compiled with COSCHED_LOG_DISABLED"
-#endif
-#ifndef COSCHED_ALERTS_DISABLED
-#error "this TU must be compiled with COSCHED_ALERTS_DISABLED"
+#ifndef COSCHED_OBS_DISABLED
+#error "this TU must be compiled with COSCHED_OBS_DISABLED"
 #endif
 
 TEST(ObsTracingDisabled, MacrosAreNoOpsEvenWhenRuntimeEnabled) {
@@ -37,6 +25,7 @@ TEST(ObsTracingDisabled, MacrosAreNoOpsEvenWhenRuntimeEnabled) {
 
   {
     COSCHED_TRACE_SPAN(span, "compiled.out", 1.0, "k=v");
+    COSCHED_TRACE_SPAN(plain, "compiled.out.plain");
     COSCHED_TRACE_INSTANT("compiled.out.instant");
     COSCHED_TRACE_COUNTER("compiled.out.counter", 42.0);
   }
@@ -47,6 +36,25 @@ TEST(ObsTracingDisabled, MacrosAreNoOpsEvenWhenRuntimeEnabled) {
   tracer.reset();
 }
 
+// The span macro is the profiler's phase timer too, so it must leave no
+// profile node either, also from a branch position.
+TEST(ObsProfilingDisabled, PhaseMacroLeavesNoResidue) {
+  Profiler& profiler = Profiler::global();
+  profiler.reset();
+  profiler.set_enabled(true);
+  {
+    COSCHED_TRACE_SPAN(phase, "compiled.out.phase");
+  }
+  if (true)
+    COSCHED_TRACE_SPAN(branch_phase, "branch-position");
+  profiler.set_enabled(false);
+  EXPECT_EQ(profiler.render_collapsed().find("compiled.out.phase"),
+            std::string::npos);
+  EXPECT_EQ(profiler.render_collapsed().find("branch-position"),
+            std::string::npos);
+  profiler.reset();
+}
+
 // The macros must also be valid statements in branch positions — the
 // do-while no-op form, not a bare expansion that breaks if/else.
 TEST(ObsTracingDisabled, MacrosParseInBranchPositions) {
@@ -55,6 +63,8 @@ TEST(ObsTracingDisabled, MacrosParseInBranchPositions) {
     COSCHED_TRACE_INSTANT("then-branch");
   else
     COSCHED_TRACE_COUNTER("else-branch", 1.0);
+  if (flag)
+    COSCHED_TRACE_SPAN(branch_span, "branch-position");
   EXPECT_EQ(Tracer::global().event_count(), 0u);
 }
 
@@ -79,40 +89,6 @@ TEST(ObsLoggingDisabled, MacroIsNoOpEvenAtPassingLevel) {
   logger.log(LogLevel::Info, "direct", "explicit call");
   EXPECT_EQ(logger.records_total(LogLevel::Info), 1u);
   global.set_level(LogLevel::Info);
-}
-
-TEST(ObsProfilingDisabled, PhaseMacroLeavesNoResidue) {
-  Profiler& profiler = Profiler::global();
-  profiler.reset();
-  profiler.set_enabled(true);
-  {
-    COSCHED_PROFILE_PHASE(phase, "compiled.out.phase");
-  }
-  if (true)
-    COSCHED_PROFILE_PHASE(branch_phase, "branch-position");
-  profiler.set_enabled(false);
-  EXPECT_EQ(profiler.render_collapsed().find("compiled.out.phase"),
-            std::string::npos);
-  profiler.reset();
-}
-
-TEST(ObsAlertsDisabled, EngineRefusesToTickOrStart) {
-  static_assert(kAlertsDisabled, "kill switch must flip the constant");
-  AlertEngineOptions options;
-  AlertRule rule;
-  rule.name = "never";
-  rule.metric = "cosched_depth";
-  rule.agg = AlertAgg::Latest;
-  rule.threshold = 0.0;
-  rule.for_seconds = 0.0;
-  options.rules.rules.push_back(rule);
-  AlertEngine engine(std::move(options));
-  EXPECT_FALSE(engine.tick("cosched_depth 10\n", 0.0));
-  EXPECT_FALSE(engine.start());
-  EXPECT_FALSE(engine.running());
-  EXPECT_EQ(engine.fired_total(), 0u);
-  EXPECT_EQ(engine.tsdb().stats().scrapes, 0u);
-  EXPECT_EQ(engine.views().at(0).state, AlertState::Inactive);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the continuous profiler (src/obs/profiler): deterministic
 // accumulation of the merged cross-thread wall-time tree, collapsed-stack
 // rendering for flamegraph tooling, the runtime switch, reset semantics,
-// and the acceptance pin — replaying a workload under the global profiler
+// the span macro feeding it independently of the tracer, and the
+// acceptance pin — replaying a workload under the global profiler
 // shows replan.fresh_solve owning the majority of online.replan wall time
 // (the HA* solve is the hot phase; /debug/profile must show that shape).
 #include <gtest/gtest.h>
@@ -12,9 +13,12 @@
 #include <thread>
 #include <vector>
 
+#include "astar/search.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "online/scheduler.hpp"
 #include "online/trace.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
@@ -98,17 +102,97 @@ TEST(Profiler, RuntimeSwitchGatesTheMacroLayer) {
   Profiler& profiler = Profiler::global();
   profiler.set_enabled(false);
   profiler.reset();
-  { COSCHED_PROFILE_PHASE(off_phase, "never.recorded"); }
+  { COSCHED_TRACE_SPAN(off_span, "never.recorded"); }
   EXPECT_EQ(profiler.render_collapsed().find("never.recorded"),
             std::string::npos);
 
   profiler.set_enabled(true);
-  { COSCHED_PROFILE_PHASE(on_phase, "test.phase"); }
+  { COSCHED_TRACE_SPAN(on_span, "test.phase"); }
   profiler.set_enabled(false);
   std::map<std::string, Profiler::NodeView> nodes = by_path(profiler);
   ASSERT_EQ(nodes.count("test.phase"), 1u);
   EXPECT_EQ(nodes["test.phase"].count, 1u);
   profiler.reset();
+}
+
+// One span feeds both consumers, each behind its own runtime switch. The
+// fixture starts and ends every test with both global instances off and
+// empty, head sampling off.
+class SpanProfiler : public ::testing::Test {
+ protected:
+  void SetUp() override { TearDown(); }
+  void TearDown() override {
+    tracer.set_enabled(false);
+    tracer.set_sample_every(1);
+    Tracer::clear_current_context();
+    tracer.reset();
+    profiler.set_enabled(false);
+    profiler.reset();
+  }
+  Tracer& tracer = Tracer::global();
+  Profiler& profiler = Profiler::global();
+};
+
+// Tracer off, profiler on: the span still times its phase (nested spans
+// nest), records no trace event and never builds its args.
+TEST_F(SpanProfiler, FeedsTheProfilerWithTheTracerOff) {
+  int args_built = 0;
+  profiler.set_enabled(true);
+  {
+    COSCHED_TRACE_SPAN(outer, "test.outer", -1.0,
+                       (++args_built, std::string("k=v")));
+    COSCHED_TRACE_SPAN(inner, "test.inner");
+  }
+  EXPECT_EQ(tracer.event_count(), 0u);
+  EXPECT_EQ(args_built, 0);
+  std::map<std::string, Profiler::NodeView> nodes = by_path(profiler);
+  EXPECT_EQ(nodes["test.outer"].count, 1u) << profiler.render_collapsed();
+  EXPECT_EQ(nodes["test.outer;test.inner"].count, 1u);
+
+  // Tracer on: the same span records its begin/end pair and its args.
+  tracer.set_enabled(true);
+  {
+    COSCHED_TRACE_SPAN(traced, "test.outer", -1.0,
+                       (++args_built, std::string("k=v")));
+  }
+  EXPECT_EQ(tracer.event_count(), 2u);
+  EXPECT_EQ(args_built, 1);
+  EXPECT_NE(tracer.dump_text().find("k=v"), std::string::npos);
+}
+
+// Head sampling drops a trace's events, not its profile.
+TEST_F(SpanProfiler, SampledOutTraceStillFeedsTheProfiler) {
+  tracer.set_sample_every(1000000);  // effectively: drop every trace
+  tracer.set_sample_seed(7);
+  std::uint64_t dropped_id = 0;
+  for (std::uint64_t id = 1; id <= 64 && dropped_id == 0; ++id)
+    if (!tracer.make_context(id).sampled) dropped_id = id;
+  ASSERT_NE(dropped_id, 0u) << "no sampled-out id found in 64 tries";
+
+  tracer.set_enabled(true);
+  profiler.set_enabled(true);
+  {
+    TraceContextScope scope(tracer.make_context(dropped_id));
+    COSCHED_TRACE_SPAN(span, "test.sampled_out", -1.0, "k=v");
+  }
+  EXPECT_EQ(tracer.event_count(), 0u);
+  EXPECT_EQ(by_path(profiler)["test.sampled_out"].count, 1u)
+      << profiler.render_collapsed();
+}
+
+// Beam-mode HA* (an explicit beam width) runs its depth-synchronized
+// search inside the solve: the profile shows astar.search;astar.beam.
+TEST_F(SpanProfiler, BeamSolveShowsTheBeamPhase) {
+  profiler.set_enabled(true);
+  Problem problem = testhelpers::random_serial_problem(16, 4, 12);
+  SearchOptions options;
+  options.heuristic_search = true;
+  options.beam_width = 4;
+  ASSERT_TRUE(CoScheduleSearch(problem, options).run().found);
+  std::map<std::string, Profiler::NodeView> nodes = by_path(profiler);
+  EXPECT_EQ(nodes["astar.search;astar.beam"].count, 1u)
+      << profiler.render_collapsed();
+  EXPECT_EQ(nodes["astar.search;astar.precompute"].count, 1u);
 }
 
 // The acceptance pin behind /debug/profile: on a replayed workload the

@@ -1011,11 +1011,6 @@ TEST(AlertLoopback, GetAlertsReportsRuleStates) {
   AlertsResponse reply;
   RpcError status = client.get_alerts(reply);
   ASSERT_TRUE(status.ok()) << status.describe();
-  if (kAlertsDisabled) {
-    EXPECT_FALSE(reply.engine_enabled);
-    server.stop();
-    return;
-  }
   EXPECT_TRUE(reply.engine_enabled);
   EXPECT_EQ(reply.firing, 0u);
   ASSERT_EQ(reply.alerts.size(), 2u);  // the default burn-rate pair

@@ -777,8 +777,6 @@ TEST(RouterObservability, HealthzAnswers503OnlyWhenTheFleetIsDown) {
 // duplicate rows. The /alerts page carries the same picture with shard
 // labels.
 TEST(RouterObservability, AlertFanInStampsShardIds) {
-  if (kAlertsDisabled) GTEST_SKIP() << "alert engine compiled out";
-
   CoschedServer shard_server(shard_server_options(1));
   std::string error;
   ASSERT_TRUE(shard_server.start(error)) << error;
@@ -836,6 +834,23 @@ TEST(RouterObservability, AlertFanInStampsShardIds) {
 
   front.stop();
   shard_server.stop();
+
+  // enable_alerts = false (`--alerts 0`) builds no engine and starts no
+  // scrape thread: no rows, engine_enabled=false, no alert families.
+  ShardRouter dark_router(ring_only_router());
+  dark_router.add_local_shard(shard_service());
+  options.enable_alerts = false;
+  RouterServer dark(dark_router, options);
+  ASSERT_TRUE(dark.start(error)) << error;
+  client_options.port = dark.port();
+  CoschedClient dark_client(client_options);
+  AlertsResponse none;
+  ASSERT_TRUE(dark_client.get_alerts(none).ok());
+  EXPECT_FALSE(none.engine_enabled);
+  EXPECT_TRUE(none.alerts.empty());
+  std::string metrics = http_get(dark.http_port(), "/metrics");
+  EXPECT_EQ(metrics.find("cosched_alerts_firing"), std::string::npos);
+  dark.stop();
 }
 
 }  // namespace
