@@ -189,9 +189,12 @@ int main(int argc, char** argv) {
   {
     std::string level_text = args.get_string("log-level", "warn");
     LogLevel level = LogLevel::Warn;
-    if (!parse_log_level(level_text, level))
+    if (!parse_log_level(level_text, level)) {
       std::cerr << "benchmark_app: unknown --log-level '" << level_text
-                << "' (want debug|info|warn|error|off)\n";
+                << "' (want debug|info|warn|error|off)\n"
+                << kUsage;
+      return 2;
+    }
     Logger::global().set_level(level);
     Logger::global().set_json(args.get_int("log-json", 0) != 0);
     std::string log_out = args.get_string("log-out", "");

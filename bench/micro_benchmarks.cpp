@@ -1,5 +1,6 @@
 // Google-benchmark microbenches for the library's hot paths: the
-// degradation oracles, node evaluation, candidate generation, cache
+// degradation oracles (bare and behind the shared oracle cache), node
+// evaluation, candidate generation, the per-solve node table, cache
 // simulation, the SDC merge, and small end-to-end solves.
 #include <benchmark/benchmark.h>
 
@@ -8,7 +9,9 @@
 #include "cache/sdc_model.hpp"
 #include "core/builders.hpp"
 #include "core/node_eval.hpp"
+#include "core/oracle_cache.hpp"
 #include "graph/node_enumerator.hpp"
+#include "graph/node_table.hpp"
 #include "ip/ip_model.hpp"
 #include "ip/branch_and_bound.hpp"
 #include "vm/hungarian.hpp"
@@ -36,6 +39,20 @@ void BM_SyntheticOracle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyntheticOracle);
+
+// The same query through CachingDegradationModel, warm: what every node
+// weight the online service computes pays on top of BM_SyntheticOracle.
+void BM_CachedOracle(benchmark::State& state) {
+  Problem p = make_problem(64, 4);
+  CachingDegradationModel cached(p.full_model,
+                                 std::make_shared<DegradationCache>(), {},
+                                 BaseModelConcurrency::ConcurrentSafe);
+  ProcessId co[3] = {1, 2, 3};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cached.degradation(0, co));
+  }
+}
+BENCHMARK(BM_CachedOracle);
 
 void BM_SdcOracle(benchmark::State& state) {
   SdcSyntheticSpec spec;
@@ -108,6 +125,24 @@ void BM_KBestSurrogate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KBestSurrogate)->Arg(64)->Arg(128)->Arg(256);
+
+// One solve's node table at n = 32, u = 4 (C(32,4) = 35,960 nodes): the
+// bare model (arg 0) and the online service's warm shared cache (arg 1).
+void BM_NodeTableFill(benchmark::State& state) {
+  Problem p = make_problem(32, 4);
+  CachingDegradationModel cached(p.full_model,
+                                 std::make_shared<DegradationCache>(), {},
+                                 BaseModelConcurrency::ConcurrentSafe);
+  const DegradationModel& model =
+      state.range(0) == 0 ? *p.full_model : cached;
+  NodeEvaluator eval(p, model);
+  for (auto _ : state) {
+    NodeTable table(eval);
+    benchmark::DoNotOptimize(table.size());
+  }
+  state.SetLabel(state.range(0) == 0 ? "bare model" : "cached model");
+}
+BENCHMARK(BM_NodeTableFill)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_OaStarSolve(benchmark::State& state) {
   Problem p = make_problem(static_cast<std::int32_t>(state.range(0)), 4);

@@ -7,6 +7,7 @@
 
 #include "graph/condensation.hpp"
 #include "graph/level_stats.hpp"
+#include "graph/node_table.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "util/combinatorics.hpp"
@@ -157,8 +158,21 @@ class Engine {
                       options_.heuristic != HeuristicKind::Strategy1);
       level_stats_ = LevelStats::build_approx(eval_, options_.h_weight_mode);
     } else {
-      level_stats_ = LevelStats::build_exact(eval_, options_.h_weight_mode,
-                                             options_.max_stats_nodes);
+      const bool node_list = options_.heuristic == HeuristicKind::Strategy1;
+      // HA* whose root level resolves to ExactSort (so every level does)
+      // weighs each node once here; its expansions scan the sorted levels.
+      if (options_.heuristic_search &&
+          resolve_selection(options_.selection,
+                            static_cast<std::size_t>(n_ - 1), u_) ==
+              CandidateSelection::ExactSort) {
+        node_table_ = NodeTable(eval_);
+        level_stats_ = LevelStats::from_table(
+            node_table_, eval_, options_.h_weight_mode, node_list);
+      } else {
+        level_stats_ = LevelStats::build_exact(
+            eval_, options_.h_weight_mode, options_.max_stats_nodes,
+            node_list);
+      }
     }
     stats_.precompute_seconds = timer.seconds();
     out.precompute_seconds = stats_.precompute_seconds;
@@ -501,8 +515,11 @@ class Engine {
     if (options_.heuristic_search) {
       std::int32_t request = condense_ ? mer_cap_ * 2 : mer_cap_;
       auto candidates =
-          k_best_valid_nodes(eval_, lead, pool, u_, request,
-                             options_.selection, options_.surrogate_overgen);
+          node_table_.empty()
+              ? k_best_valid_nodes(eval_, lead, pool, u_, request,
+                                   options_.selection,
+                                   options_.surrogate_overgen)
+              : node_table_.k_best_valid(lead, parent_set, request);
       std::int32_t attempted = 0;
       for (const auto& cand : candidates) {
         if (condensed_duplicate(cand.node)) continue;
@@ -705,6 +722,7 @@ class Engine {
   const std::int32_t num_parallel_;
 
   LevelStats level_stats_;
+  NodeTable node_table_;  ///< built for exact-regime HA* only
   bool condense_ = false;
   std::int32_t mer_cap_ = 0;
   bool beam_mode_ = false;

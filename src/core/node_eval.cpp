@@ -28,12 +28,19 @@ Real NodeEvaluator::weight(std::span<const ProcessId> node) const {
 Real NodeEvaluator::h_weight(std::span<const ProcessId> node,
                              HWeightMode mode) const {
   thread_local std::vector<Real> scratch;
-  Real full = weight(node, scratch);
-  if (mode == HWeightMode::PaperFull) return full;
+  weight(node, scratch);
+  return h_weight(node, scratch, mode);
+}
+
+Real NodeEvaluator::h_weight(std::span<const ProcessId> node,
+                             std::span<const Real> d,
+                             HWeightMode mode) const {
+  Real w = 0.0;  // summed in member order, exactly as weight() sums
+  for (Real di : d) w += di;
+  if (mode == HWeightMode::PaperFull) return w;
   // Admissible: drop parallel processes' contributions.
-  Real w = full;
   for (std::size_t i = 0; i < node.size(); ++i)
-    if (problem_->batch.is_parallel_process(node[i])) w -= scratch[i];
+    if (problem_->batch.is_parallel_process(node[i])) w -= d[i];
   return w;
 }
 

@@ -43,6 +43,11 @@ class NodeEvaluator {
   /// Weight for heuristic purposes under `mode`.
   Real h_weight(std::span<const ProcessId> node, HWeightMode mode) const;
 
+  /// The same h-weight from member degradations `d` (member order) that
+  /// weight() already returned, without querying the model again.
+  Real h_weight(std::span<const ProcessId> node, std::span<const Real> d,
+                HWeightMode mode) const;
+
  private:
   const Problem* problem_;
   const DegradationModel* model_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 namespace cosched {
 
@@ -16,6 +15,54 @@ std::size_t round_up_pow2(std::size_t x) {
 
 }  // namespace
 
+DegradationCache::Key::Key(ProcessId subject, std::span<const ProcessId> co) {
+  std::size_t size = 1;
+  for (ProcessId p : co)
+    if (p >= 0) ++size;
+  size_ = static_cast<std::uint32_t>(size);
+  if (spilled()) heap_ = new ProcessId[size];
+  ProcessId* ids = storage();
+  ids[0] = subject;
+  std::size_t at = 1;
+  for (ProcessId p : co)
+    if (p >= 0) ids[at++] = p;
+  std::sort(ids + 1, ids + size);
+}
+
+DegradationCache::Key::Key(const Key& other) : size_(other.size_) {
+  if (spilled()) heap_ = new ProcessId[size_];
+  std::memcpy(storage(), other.ids().data(), size_ * sizeof(ProcessId));
+}
+
+DegradationCache::Key::Key(Key&& other) noexcept : size_(other.size_) {
+  if (spilled()) {
+    heap_ = other.heap_;
+    other.size_ = 0;
+  } else {
+    std::memcpy(inline_, other.inline_, size_ * sizeof(ProcessId));
+  }
+}
+
+DegradationCache::Key::~Key() {
+  if (spilled()) delete[] heap_;
+}
+
+bool DegradationCache::Key::operator==(const Key& other) const {
+  return size_ == other.size_ &&
+         std::memcmp(ids().data(), other.ids().data(),
+                     size_ * sizeof(ProcessId)) == 0;
+}
+
+std::size_t DegradationCache::Key::hash() const noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ size_;
+  for (ProcessId id : ids()) {
+    h ^= static_cast<std::uint32_t>(id);
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return static_cast<std::size_t>(h);
+}
+
 DegradationCache::DegradationCache(std::size_t shard_count) {
   std::size_t n = round_up_pow2(std::max<std::size_t>(shard_count, 1));
   shards_.reserve(n);
@@ -23,18 +70,16 @@ DegradationCache::DegradationCache(std::size_t shard_count) {
     shards_.push_back(std::make_unique<Shard>());
 }
 
-DegradationCache::Shard& DegradationCache::shard_for(const std::string& key) {
-  std::size_t h = std::hash<std::string>{}(key);
-  return *shards_[h & (shards_.size() - 1)];
+DegradationCache::Shard& DegradationCache::shard_for(const Key& key) {
+  return *shards_[key.hash() & (shards_.size() - 1)];
 }
 
 const DegradationCache::Shard& DegradationCache::shard_for(
-    const std::string& key) const {
-  std::size_t h = std::hash<std::string>{}(key);
-  return *shards_[h & (shards_.size() - 1)];
+    const Key& key) const {
+  return *shards_[key.hash() & (shards_.size() - 1)];
 }
 
-bool DegradationCache::lookup(const std::string& key, Real& out) const {
+bool DegradationCache::lookup(const Key& key, Real& out) const {
   const Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(key);
@@ -47,10 +92,10 @@ bool DegradationCache::lookup(const std::string& key, Real& out) const {
   return true;
 }
 
-void DegradationCache::insert(const std::string& key, Real value) {
+void DegradationCache::insert(Key key, Real value) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.map.emplace(key, value);
+  shard.map.emplace(std::move(key), value);
 }
 
 void DegradationCache::clear() {
@@ -63,8 +108,7 @@ void DegradationCache::clear() {
 }
 
 std::size_t DegradationCache::evict_dead(std::span<const ProcessId> live_ids) {
-  // The key is the raw little-pattern memcpy of (subject id, sorted co
-  // ids): decode each id and erase the entry on the first dead one.
+  // Erase an entry on the first dead id of its key (subject or co-runner).
   std::vector<bool> alive;
   for (ProcessId id : live_ids) {
     if (id < 0) continue;
@@ -80,18 +124,7 @@ std::size_t DegradationCache::evict_dead(std::span<const ProcessId> live_ids) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     for (auto it = shard->map.begin(); it != shard->map.end();) {
-      const std::string& key = it->first;
-      bool dead = false;
-      for (std::size_t off = 0; off + sizeof(ProcessId) <= key.size();
-           off += sizeof(ProcessId)) {
-        ProcessId id;
-        std::memcpy(&id, key.data() + off, sizeof(ProcessId));
-        if (!is_live(id)) {
-          dead = true;
-          break;
-        }
-      }
-      if (dead) {
+      if (!std::ranges::all_of(it->first.ids(), is_live)) {
         it = shard->map.erase(it);
         ++evicted;
       } else {
@@ -117,22 +150,6 @@ DegradationCache::Stats DegradationCache::stats() const {
   return s;
 }
 
-std::string DegradationCache::make_key(ProcessId stable_i,
-                                       std::vector<ProcessId> co_stable) {
-  co_stable.erase(
-      std::remove_if(co_stable.begin(), co_stable.end(),
-                     [](ProcessId p) { return p < 0; }),
-      co_stable.end());
-  std::sort(co_stable.begin(), co_stable.end());
-  std::string key;
-  key.resize((co_stable.size() + 1) * sizeof(ProcessId));
-  std::memcpy(key.data(), &stable_i, sizeof(ProcessId));
-  if (!co_stable.empty())
-    std::memcpy(key.data() + sizeof(ProcessId), co_stable.data(),
-                co_stable.size() * sizeof(ProcessId));
-  return key;
-}
-
 CachingDegradationModel::CachingDegradationModel(
     DegradationModelPtr base, DegradationCachePtr cache,
     std::vector<ProcessId> stable_ids, BaseModelConcurrency concurrency)
@@ -149,10 +166,12 @@ Real CachingDegradationModel::degradation(
   ProcessId stable_i = stable_of(i);
   if (stable_i < 0) return base_->degradation(i, co);  // inert padding
 
-  std::vector<ProcessId> co_stable;
-  co_stable.reserve(co.size());
+  // Reused per thread: the key itself is inline for u <= 8, so a lookup
+  // allocates nothing once this buffer has grown.
+  thread_local std::vector<ProcessId> co_stable;
+  co_stable.clear();
   for (ProcessId p : co) co_stable.push_back(stable_of(p));
-  std::string key = DegradationCache::make_key(stable_i, std::move(co_stable));
+  DegradationCache::Key key = DegradationCache::make_key(stable_i, co_stable);
 
   Real value = 0.0;
   if (cache_->lookup(key, value)) return value;
@@ -162,7 +181,7 @@ Real CachingDegradationModel::degradation(
   } else {
     value = base_->degradation(i, co);
   }
-  cache_->insert(key, value);
+  cache_->insert(std::move(key), value);
   return value;
 }
 

@@ -11,6 +11,9 @@
 //    local renumbering;
 //  * the table is striped into mutex-guarded shards, so concurrent replan
 //    evaluation scales instead of serializing on one lock;
+//  * keys are packed integers (subject id, then sorted co-runner ids) held
+//    inline for up to Key::kInlineIds ids (u <= 8), so neither a lookup nor
+//    a stored entry allocates on the heap;
 //  * CachingDegradationModel is a drop-in DegradationModel decorator: wrap
 //    any base model, hand several wrappers the same DegradationCache;
 //  * stable ids are only ever retired, never reused, across a service
@@ -20,10 +23,10 @@
 #pragma once
 
 #include <atomic>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -36,6 +39,38 @@ namespace cosched {
 /// threads.
 class DegradationCache {
  public:
+  /// Packed key of one query: the subject's stable id, then its co-runners'
+  /// stable ids ascending, negative ids (inert padding) dropped — the
+  /// DegradationModel contract says they contribute nothing. Up to
+  /// kInlineIds ids are stored in place; a longer set (any co-runner count
+  /// the contract allows) spills into one heap block.
+  class Key {
+   public:
+    static constexpr std::size_t kInlineIds = 8;
+
+    Key(ProcessId subject, std::span<const ProcessId> co);
+    Key(const Key& other);
+    Key(Key&& other) noexcept;
+    Key& operator=(const Key&) = delete;  ///< a key is an immutable value
+    ~Key();
+
+    std::span<const ProcessId> ids() const {
+      return {spilled() ? heap_ : inline_, size_};
+    }
+    bool operator==(const Key& other) const;
+    std::size_t hash() const noexcept;
+
+   private:
+    bool spilled() const { return size_ > kInlineIds; }
+    ProcessId* storage() { return spilled() ? heap_ : inline_; }
+
+    std::uint32_t size_ = 0;
+    union {
+      ProcessId inline_[kInlineIds];
+      ProcessId* heap_;
+    };
+  };
+
   /// `shard_count` is rounded up to a power of two (at least 1).
   explicit DegradationCache(std::size_t shard_count = 16);
 
@@ -55,9 +90,9 @@ class DegradationCache {
   std::size_t shard_count() const { return shards_.size(); }
 
   /// Returns true and fills `out` on a hit. Counts a hit/miss either way.
-  bool lookup(const std::string& key, Real& out) const;
+  bool lookup(const Key& key, Real& out) const;
   /// Inserts (idempotent: the first value stored for a key wins).
-  void insert(const std::string& key, Real value);
+  void insert(Key key, Real value);
   void clear();
 
   /// Epoch compaction: erases every entry whose key mentions a stable id
@@ -69,18 +104,28 @@ class DegradationCache {
   std::size_t evict_dead(std::span<const ProcessId> live_ids);
 
   /// Packs (stable id, stable co ids) into a map key. `co_stable` need not
-  /// be sorted; negative ids (inert padding) are dropped — the
-  /// DegradationModel contract says they contribute nothing.
-  static std::string make_key(ProcessId stable_i,
-                              std::vector<ProcessId> co_stable);
+  /// be sorted; negative ids are dropped.
+  static Key make_key(ProcessId stable_i,
+                      std::span<const ProcessId> co_stable) {
+    return Key(stable_i, co_stable);
+  }
+  static Key make_key(ProcessId stable_i,
+                      std::initializer_list<ProcessId> co_stable) {
+    return Key(stable_i, std::span<const ProcessId>(co_stable));
+  }
 
  private:
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept {
+      return key.hash();
+    }
+  };
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::string, Real> map;
+    std::unordered_map<Key, Real, KeyHash> map;
   };
-  Shard& shard_for(const std::string& key);
-  const Shard& shard_for(const std::string& key) const;
+  Shard& shard_for(const Key& key);
+  const Shard& shard_for(const Key& key) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable std::atomic<std::uint64_t> hits_{0};

@@ -2,48 +2,74 @@
 
 #include <algorithm>
 
+#include "graph/node_enumerator.hpp"
+#include "graph/node_table.hpp"
 #include "util/combinatorics.hpp"
 
 namespace cosched {
 
+LevelStats LevelStats::empty_exact(const Problem& problem, bool node_list) {
+  LevelStats stats;
+  stats.exact_ = true;
+  stats.node_list_ = node_list;
+  stats.n_ = problem.n();
+  stats.u_ = problem.u();
+  stats.total_nodes_ = binomial(static_cast<std::uint64_t>(stats.n_),
+                                static_cast<std::uint64_t>(stats.u_));
+  stats.min_level_weight_.assign(static_cast<std::size_t>(stats.n_),
+                                 kInfinity);
+  if (node_list)
+    stats.sorted_nodes_.reserve(static_cast<std::size_t>(stats.total_nodes_));
+  return stats;
+}
+
+void LevelStats::add_node(ProcessId lead, Real h_weight) {
+  auto& mw = min_level_weight_[static_cast<std::size_t>(lead)];
+  if (h_weight < mw) mw = h_weight;
+  if (node_list_)
+    sorted_nodes_.emplace_back(static_cast<float>(h_weight), lead);
+}
+
+void LevelStats::sort_node_list() {
+  std::sort(sorted_nodes_.begin(), sorted_nodes_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
 LevelStats LevelStats::build_exact(const NodeEvaluator& eval,
                                    HWeightMode mode,
-                                   std::uint64_t max_nodes) {
+                                   std::uint64_t max_nodes, bool node_list) {
   const Problem& problem = eval.problem();
   const std::int32_t n = problem.n();
   const std::int32_t u = problem.u();
-  const std::uint64_t total =
-      binomial(static_cast<std::uint64_t>(n), static_cast<std::uint64_t>(u));
-  COSCHED_EXPECTS(total <= max_nodes);
+  LevelStats stats = empty_exact(problem, node_list);
+  COSCHED_EXPECTS(stats.total_nodes_ <= max_nodes);
 
-  LevelStats stats;
-  stats.exact_ = true;
-  stats.n_ = n;
-  stats.u_ = u;
-  stats.total_nodes_ = total;
-  stats.min_level_weight_.assign(static_cast<std::size_t>(n), kInfinity);
-  stats.sorted_nodes_.reserve(static_cast<std::size_t>(total));
-
-  std::vector<ProcessId> node(static_cast<std::size_t>(u));
   // Levels exist for lead in [0, n-u].
+  std::vector<ProcessId> pool;
   for (ProcessId lead = 0; lead + u <= n; ++lead) {
-    std::vector<std::int32_t> pool;
-    pool.reserve(static_cast<std::size_t>(n - lead - 1));
+    pool.clear();
     for (ProcessId p = lead + 1; p < n; ++p) pool.push_back(p);
-    for_each_combination(
-        pool, static_cast<std::size_t>(u - 1),
-        [&](const std::vector<std::int32_t>& comb) {
-          node[0] = lead;
-          for (std::size_t j = 0; j < comb.size(); ++j) node[j + 1] = comb[j];
-          Real w = eval.h_weight(node, mode);
-          auto& mw = stats.min_level_weight_[static_cast<std::size_t>(lead)];
-          if (w < mw) mw = w;
-          stats.sorted_nodes_.emplace_back(static_cast<float>(w), lead);
-          return true;
-        });
+    for_each_valid_node(lead, pool, u, [&](std::span<const ProcessId> node) {
+      stats.add_node(lead, eval.h_weight(node, mode));
+      return true;
+    });
   }
-  std::sort(stats.sorted_nodes_.begin(), stats.sorted_nodes_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  stats.sort_node_list();
+  return stats;
+}
+
+LevelStats LevelStats::from_table(const NodeTable& table,
+                                  const NodeEvaluator& eval, HWeightMode mode,
+                                  bool node_list) {
+  const Problem& problem = eval.problem();
+  LevelStats stats = empty_exact(problem, node_list);
+  COSCHED_EXPECTS(table.size() == stats.total_nodes_);
+  for (ProcessId lead = 0; lead + stats.u_ <= stats.n_; ++lead)
+    for (std::size_t i = table.level_begin(lead); i < table.level_end(lead);
+         ++i)
+      stats.add_node(lead, eval.h_weight(table.members(i), table.member_d(i),
+                                         mode));
+  stats.sort_node_list();
   return stats;
 }
 
@@ -132,7 +158,7 @@ Real LevelStats::strategy2_h(const std::vector<ProcessId>& unscheduled,
 }
 
 Real LevelStats::strategy1_h(ProcessId level_gt, std::int32_t k) const {
-  COSCHED_EXPECTS(exact_);
+  COSCHED_EXPECTS(exact_ && node_list_);
   if (k <= 0) return 0.0;
   Real h = 0.0;
   std::int32_t taken = 0;

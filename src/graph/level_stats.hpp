@@ -4,11 +4,13 @@
 // Level i of the graph holds every u-subset whose smallest process id is i.
 // Strategy 1 needs all node weights of levels > l sorted ascending;
 // Strategy 2 needs the minimum node weight of each level. Both are static
-// (path-independent), so they are computed once per search.
+// (path-independent), so they are computed once per search. The sorted
+// node list is built only when asked for (Strategy 1).
 //
 // Two build modes:
 //  * exact  — enumerate all C(n,u) nodes (feasible up to a few million
-//             nodes; every OA* experiment in the paper is in this range);
+//             nodes; every OA* experiment in the paper is in this range),
+//             or read them from a NodeTable that already weighed them;
 //  * approx — per-level greedy estimate using the model's pressure
 //             surrogate; used by HA* at scales where enumeration is
 //             impossible (Fig. 13 runs n = 1208 ⇒ C(n,4) ≈ 8.8e10).
@@ -23,13 +25,23 @@
 
 namespace cosched {
 
+class NodeTable;
+
 class LevelStats {
  public:
   /// Exact enumeration. `mode` controls how parallel processes count in the
   /// h-weight (see HWeightMode). Aborts with ContractViolation if the graph
-  /// exceeds `max_nodes` (guards against accidental blow-up).
+  /// exceeds `max_nodes` (guards against accidental blow-up). `node_list`
+  /// keeps the sorted node list strategy1_h() needs.
   static LevelStats build_exact(const NodeEvaluator& eval, HWeightMode mode,
-                                std::uint64_t max_nodes = 20'000'000);
+                                std::uint64_t max_nodes = 20'000'000,
+                                bool node_list = true);
+
+  /// The same statistics from a table built over `eval`, with no model
+  /// query: equal to build_exact(eval, mode, ·, node_list).
+  static LevelStats from_table(const NodeTable& table,
+                               const NodeEvaluator& eval, HWeightMode mode,
+                               bool node_list);
 
   /// Greedy approximation: the minimum weight of level i is estimated by the
   /// node {i} ∪ {u-1 lowest-pressure ids > i}.
@@ -50,17 +62,24 @@ class LevelStats {
                    std::int32_t k) const;
 
   /// Strategy 1: sum of the `k` smallest node h-weights among all nodes in
-  /// levels strictly greater than `level_gt`. Requires exact().
+  /// levels strictly greater than `level_gt`. Requires an exact build with
+  /// the node list.
   Real strategy1_h(ProcessId level_gt, std::int32_t k) const;
 
  private:
+  static LevelStats empty_exact(const Problem& problem, bool node_list);
+  void add_node(ProcessId lead, Real h_weight);
+  void sort_node_list();
+
   bool exact_ = false;
+  bool node_list_ = false;
   std::int32_t n_ = 0;
   std::int32_t u_ = 0;
   std::uint64_t total_nodes_ = 0;
   std::vector<Real> min_level_weight_;  // indexed by lead id
   /// (h-weight, level) of every node, sorted by weight ascending (exact
-  /// builds only). float keeps it compact; h is a bound, not an objective.
+  /// builds with the node list only). float keeps it compact; h is a
+  /// bound, not an objective.
   std::vector<std::pair<float, std::int32_t>> sorted_nodes_;
 };
 

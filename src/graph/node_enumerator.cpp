@@ -171,18 +171,22 @@ std::vector<NodeCandidate> k_best_surrogate(
 
 }  // namespace
 
+CandidateSelection resolve_selection(CandidateSelection selection,
+                                     std::size_t pool_size, std::int32_t u) {
+  if (selection != CandidateSelection::Auto) return selection;
+  std::uint64_t level_size =
+      binomial(pool_size, static_cast<std::uint64_t>(u - 1));
+  return level_size <= 50'000 ? CandidateSelection::ExactSort
+                              : CandidateSelection::SurrogateHeap;
+}
+
 std::vector<NodeCandidate> k_best_valid_nodes(
     const NodeEvaluator& eval, ProcessId lead,
     const std::vector<ProcessId>& pool, std::int32_t u, std::int32_t k,
     CandidateSelection selection, std::size_t overgen) {
   COSCHED_EXPECTS(k >= 1);
-  if (selection == CandidateSelection::Auto) {
-    std::uint64_t level_size =
-        binomial(pool.size(), static_cast<std::uint64_t>(u - 1));
-    selection = level_size <= 50'000 ? CandidateSelection::ExactSort
-                                     : CandidateSelection::SurrogateHeap;
-  }
-  if (selection == CandidateSelection::ExactSort)
+  if (resolve_selection(selection, pool.size(), u) ==
+      CandidateSelection::ExactSort)
     return k_best_exact(eval, lead, pool, u, k);
   return k_best_surrogate(eval, lead, pool, u, k, overgen);
 }

@@ -37,6 +37,11 @@ enum class CandidateSelection {
   SurrogateHeap, ///< best-first over pressure sums, re-rank by true weight
 };
 
+/// What `selection` means for a level whose pool holds `pool_size` ids:
+/// Auto is ExactSort while the level has at most 50,000 nodes.
+CandidateSelection resolve_selection(CandidateSelection selection,
+                                     std::size_t pool_size, std::int32_t u);
+
 /// Returns up to `k` valid nodes of the level, cheapest true weight first.
 /// `overgen` (surrogate mode) controls how many candidates are generated per
 /// requested node before re-ranking.

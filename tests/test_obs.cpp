@@ -589,9 +589,9 @@ TEST(ObsCacheCounters, MatchHandComputedSequence) {
   DegradationCache cache(2);
   Real out = 0.0;
 
-  std::string k_a = DegradationCache::make_key(0, {1});
-  std::string k_b = DegradationCache::make_key(1, {0});
-  std::string k_c = DegradationCache::make_key(2, {3});
+  DegradationCache::Key k_a = DegradationCache::make_key(0, {1});
+  DegradationCache::Key k_b = DegradationCache::make_key(1, {0});
+  DegradationCache::Key k_c = DegradationCache::make_key(2, {3});
 
   EXPECT_FALSE(cache.lookup(k_a, out));  // miss 1
   cache.insert(k_a, 0.1);

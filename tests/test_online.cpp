@@ -207,9 +207,9 @@ TEST(Admission, ThresholdRespectsCooldown) {
 // ------------------------------------------------------- oracle cache
 
 TEST(OracleCache, KeyDropsPaddingAndIgnoresCoOrder) {
-  std::string a = DegradationCache::make_key(3, {5, 1, 2});
-  std::string b = DegradationCache::make_key(3, {2, 5, 1});
-  std::string c = DegradationCache::make_key(3, {2, 5, 1, -1, -1});
+  DegradationCache::Key a = DegradationCache::make_key(3, {5, 1, 2});
+  DegradationCache::Key b = DegradationCache::make_key(3, {2, 5, 1});
+  DegradationCache::Key c = DegradationCache::make_key(3, {2, 5, 1, -1, -1});
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);  // negative ids are inert padding
   EXPECT_NE(a, DegradationCache::make_key(4, {5, 1, 2}));
@@ -219,12 +219,12 @@ TEST(OracleCache, KeyDropsPaddingAndIgnoresCoOrder) {
 TEST(OracleCache, InsertLookupAndStats) {
   DegradationCache cache(4);
   Real out = -1.0;
-  EXPECT_FALSE(cache.lookup("k1", out));
-  cache.insert("k1", 0.25);
-  EXPECT_TRUE(cache.lookup("k1", out));
+  EXPECT_FALSE(cache.lookup(DegradationCache::make_key(1, {2}), out));
+  cache.insert(DegradationCache::make_key(1, {2}), 0.25);
+  EXPECT_TRUE(cache.lookup(DegradationCache::make_key(1, {2}), out));
   EXPECT_EQ(out, 0.25);
-  cache.insert("k1", 0.75);  // first value wins
-  EXPECT_TRUE(cache.lookup("k1", out));
+  cache.insert(DegradationCache::make_key(1, {2}), 0.75);  // first value wins
+  EXPECT_TRUE(cache.lookup(DegradationCache::make_key(1, {2}), out));
   EXPECT_EQ(out, 0.25);
   auto s = cache.stats();
   EXPECT_EQ(s.hits, 2u);
@@ -571,6 +571,30 @@ TEST(OracleCache, EvictDeadDropsOnlyDeadEntries) {
   EXPECT_EQ(value, 0.25);
   EXPECT_FALSE(cache->lookup(DegradationCache::make_key(2, {3}), value));
   EXPECT_TRUE(cache->lookup(DegradationCache::make_key(7, {}), value));
+}
+
+// More ids than fit inline (u > 8) spill to the heap: copies, order
+// insensitivity, lookup and eviction must behave as for short keys.
+TEST(OracleCache, SpilledKeysBehaveLikeInlineKeys) {
+  DegradationCache::Key wide =
+      DegradationCache::make_key(0, {11, 3, 9, 1, 7, 5, 10, 2, -1, 8, 4, 6});
+  ASSERT_EQ(wide.ids().size(), 12u);
+  EXPECT_GT(wide.ids().size(), DegradationCache::Key::kInlineIds);
+  DegradationCache::Key copy = wide;
+  EXPECT_EQ(copy, wide);
+  EXPECT_EQ(copy, DegradationCache::make_key(
+                      0, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  EXPECT_NE(copy, DegradationCache::make_key(
+                      0, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}));
+
+  DegradationCache cache(2);
+  cache.insert(copy, 0.5);
+  Real value = 0.0;
+  EXPECT_TRUE(cache.lookup(wide, value));
+  EXPECT_EQ(value, 0.5);
+  std::vector<ProcessId> live = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(cache.evict_dead(live), 1u);  // 11 finished
+  EXPECT_FALSE(cache.lookup(wide, value));
 }
 
 // ------------------------------------------------- metrics CSV writer
